@@ -12,6 +12,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+from .errors import InvalidInputError
 from .instances import generate
 from .solvers import solve_auto
 
@@ -102,6 +103,8 @@ def run_bench(
     rest; cancelable-class grids check phase-2 iterations against 2m
     instead.
     """
+    if runs < 1:
+        raise InvalidInputError(f"runs must be positive, got {runs}")
     ms = tuple(sorted(ms))
     cells: list[BenchCell] = []
     for n in ns:

@@ -122,9 +122,6 @@ def _independent_check(
         record("complete", alloc.complete)
         record("2-ef", is_alpha_ef(inst, alloc, 2)[0])
         record("2-efx", is_alpha_efx(inst, alloc, 2)[0])
-    elif tag is GuaranteeTag.TWO_EFX:
-        record("complete", alloc.complete)
-        record("2-efx", is_alpha_efx(inst, alloc, 2)[0])
     verification = {"tag": tag.value, "checks": checks, "passed": not failures}
     return verification, failures, notes
 

@@ -128,6 +128,7 @@ class PartitionMatroidRank:
     groups: tuple[tuple[int, ...], ...]
     capacities: tuple[int, ...]
     _group_masks: tuple[ItemSet, ...] = field(init=False, repr=False, compare=False)
+    _m: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.groups) != len(self.capacities):
@@ -155,10 +156,11 @@ class PartitionMatroidRank:
         object.__setattr__(self, "groups", tuple(tuple(sorted(g)) for g in self.groups))
         object.__setattr__(self, "capacities", tuple(self.capacities))
         object.__setattr__(self, "_group_masks", tuple(masks))
+        object.__setattr__(self, "_m", sum(len(g) for g in self.groups))
 
     @property
     def m(self) -> int:
-        return sum(len(g) for g in self.groups)
+        return self._m
 
     def value(self, mask: ItemSet) -> int:
         return sum(

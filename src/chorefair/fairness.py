@@ -1,10 +1,13 @@
 """Allocations and exact fairness checking.
 
-Everything here is checker-side: given an allocation, decide envy-freeness
-(optionally scaled by a rational factor alpha), its removal-stable variant
-(no agent may prefer another bundle after dropping any single item of her
-own, "EFX"), Pareto optimality by exhaustive comparison, and the equality
-envy graph used by the coarser solvers.
+One primitive prices everything: :class:`CostMatrix` holds every agent's
+cost for every bundle plus each agent's worst single-item drop from her
+own bundle.  Envy-freeness (optionally scaled by a rational factor alpha),
+its removal-stable variant (no agent may prefer another bundle after
+dropping any single item of her own, "EFX") and the equality envy graph
+used by the coarser solvers are all read off it.  The checkers here build
+one fresh matrix per call; solvers keep one up to date as bundles change.
+Pareto optimality is decided by exhaustive comparison.
 
 Costs are integers and alpha is an exact rational, so every comparison in
 this module is exact; no floats anywhere.
@@ -20,7 +23,7 @@ import numpy as np
 
 from . import itemset
 from .costs import CostFunction, evaluate, value_table
-from .errors import InvalidInputError, UnsupportedSizeError
+from .errors import InternalInvariantError, InvalidInputError, UnsupportedSizeError
 from .instances import Instance
 from .itemset import ItemSet, full_set, iter_items
 
@@ -142,67 +145,128 @@ def social_cost(inst: Instance, alloc: Allocation) -> int:
     return sum(evaluate(fn, b) for fn, b in zip(inst.agents, alloc.bundles))
 
 
-# -- envy checks over raw cost functions (reused by solvers on residual views)
+# ---------------------------------------------------------------------------
+# The price matrix behind every envy check
+# ---------------------------------------------------------------------------
 
 
-def ef_violations_funcs(
-    funcs: list[CostFunction] | tuple[CostFunction, ...],
-    bundles: tuple[ItemSet, ...] | list[ItemSet],
-    alpha: Fraction | int | str = 1,
-) -> list[Violation]:
-    alpha = _as_alpha(alpha)
-    out = []
-    for i, fi in enumerate(funcs):
-        own = evaluate(fi, bundles[i])
-        for j in range(len(bundles)):
-            if j != i and own > alpha * evaluate(fi, bundles[j]):
-                out.append(Violation("ef", i, j, None))
-    return out
+class CostMatrix:
+    """Every agent's price for every bundle, kept current as bundles change.
 
+    ``cost[i][j]`` is c_i(X_j).  ``worst_drop(i)`` is max over e in X_i of
+    c_i(X_i - e), the highest price agent i can be left with after giving up
+    one item; it is queried on first read and cached until X_i changes.
+    Envy-freeness, removal stability and the equality envy graph are all
+    read off these numbers.  ``update`` re-prices the one bundle that
+    changed, so a solver that moves a few items per step pays n queries per
+    changed bundle instead of a full rebuild.
 
-def efx_violations_funcs(
-    funcs: list[CostFunction] | tuple[CostFunction, ...],
-    bundles: tuple[ItemSet, ...] | list[ItemSet],
-    alpha: Fraction | int | str = 1,
-) -> list[Violation]:
-    alpha = _as_alpha(alpha)
-    out = []
-    for i, fi in enumerate(funcs):
-        mine = bundles[i]
-        if not mine:
-            continue
-        drops = [(e, evaluate(fi, mine ^ (1 << e))) for e in iter_items(mine)]
-        for j in range(len(bundles)):
-            if j == i:
-                continue
-            bound = alpha * evaluate(fi, bundles[j])
-            for e, reduced in drops:
-                if reduced > bound:
-                    out.append(Violation("efx", i, j, e))
-    return out
-
-
-def is_efx_funcs(
-    funcs: list[CostFunction] | tuple[CostFunction, ...],
-    bundles: tuple[ItemSet, ...] | list[ItemSet],
-) -> bool:
-    """Early-exit plain EFX test used inside solver loops.
-
-    Removal-stability against every rival reduces to one comparison per
-    agent: the worst single-item removal must not exceed the cheapest
-    rival bundle.
+    ``query(fn, mask)`` prices one bundle for one agent: solvers pass their
+    counting ``OpCounter.evaluate``, checkers default to ``evaluate``.
     """
-    if len(bundles) < 2:
-        return True
-    for i, fi in enumerate(funcs):
-        mine = bundles[i]
-        if not mine:
-            continue
-        worst_drop = max(evaluate(fi, mine ^ (1 << e)) for e in iter_items(mine))
-        best_other = min(evaluate(fi, bundles[j]) for j in range(len(bundles)) if j != i)
-        if worst_drop > best_other:
-            return False
-    return True
+
+    __slots__ = ("funcs", "bundles", "cost", "_query", "_drop")
+
+    def __init__(
+        self,
+        funcs: list[CostFunction] | tuple[CostFunction, ...],
+        bundles: tuple[ItemSet, ...] | list[ItemSet],
+        query: Callable[[CostFunction, ItemSet], int] | None = None,
+    ):
+        if len(funcs) != len(bundles):
+            raise InvalidInputError(f"{len(funcs)} cost functions for {len(bundles)} bundles")
+        self.funcs = tuple(funcs)
+        self.bundles = list(bundles)
+        # resolved per matrix, not bound at import, so that a wrapper put on
+        # this module's ``evaluate`` afterwards still sees every query
+        self._query = evaluate if query is None else query
+        self.cost = [[self._query(fn, b) for b in self.bundles] for fn in self.funcs]
+        self._drop: list[int | None] = [None] * len(self.bundles)
+
+    def update(self, j: int, bundle: ItemSet) -> None:
+        """Replace bundle j and re-price it for every agent."""
+        self.bundles[j] = bundle
+        for row, fn in zip(self.cost, self.funcs):
+            row[j] = self._query(fn, bundle)
+        self._drop[j] = None
+
+    def _item_drops(self, i: int) -> list[tuple[int, int]]:
+        fn, mine = self.funcs[i], self.bundles[i]
+        return [(e, self._query(fn, mine ^ (1 << e))) for e in iter_items(mine)]
+
+    def worst_drop(self, i: int) -> int:
+        """max over e in X_i of c_i(X_i - e); X_i must be non-empty."""
+        if self._drop[i] is None:
+            self._drop[i] = max(c for _, c in self._item_drops(i))
+        return self._drop[i]
+
+    def _cheapest_rival(self, i: int) -> int:
+        row = self.cost[i]
+        return min(c for j, c in enumerate(row) if j != i)
+
+    def is_efx(self) -> bool:
+        """Plain removal stability, stopping at the first unstable agent.
+
+        Against every rival at once it reduces to one comparison per agent
+        holding items: her worst drop must not exceed the cheapest rival
+        bundle.
+        """
+        return len(self.bundles) < 2 or all(
+            not b or self.worst_drop(i) <= self._cheapest_rival(i)
+            for i, b in enumerate(self.bundles)
+        )
+
+    def ef_violations(self, alpha: Fraction | int | str = 1) -> list[Violation]:
+        """Pairs (i, j) with c_i(X_i) > alpha * c_i(X_j), in (i, j) order."""
+        alpha = _as_alpha(alpha)
+        return [
+            Violation("ef", i, j, None)
+            for i, row in enumerate(self.cost)
+            for j, other in enumerate(row)
+            if j != i and row[i] > alpha * other
+        ]
+
+    def efx_violations(self, alpha: Fraction | int | str = 1) -> list[Violation]:
+        """Triples (i, j, e) with c_i(X_i - e) > alpha * c_i(X_j), in
+        (i, j, e) order.  Per-item drops are queried only for agents whose
+        worst drop exceeds alpha times their cheapest rival bundle."""
+        alpha = _as_alpha(alpha)
+        out: list[Violation] = []
+        if len(self.bundles) < 2:
+            return out
+        for i, row in enumerate(self.cost):
+            if not self.bundles[i] or self.worst_drop(i) <= alpha * self._cheapest_rival(i):
+                continue
+            drops = self._item_drops(i)
+            for j, other in enumerate(row):
+                if j != i:
+                    bound = alpha * other
+                    out.extend(Violation("efx", i, j, e) for e, c in drops if c > bound)
+        return out
+
+    def graph(self) -> EnvyGraph:
+        """Equality envy graph: (i, j) whenever c_i(X_i) == c_i(X_j)."""
+        edges = frozenset(
+            (i, j)
+            for i, row in enumerate(self.cost)
+            for j, other in enumerate(row)
+            if j != i and row[i] == other
+        )
+        return EnvyGraph(n=len(self.cost), edges=edges)
+
+    def check_against_rebuild(self) -> None:
+        """Raise when a maintained entry differs from a fresh build.
+
+        Debug aid for solvers; the fresh build uses ``evaluate`` directly,
+        so the check adds nothing to the caller's query count.
+        """
+        fresh = CostMatrix(self.funcs, self.bundles)
+        if fresh.cost != self.cost or any(
+            d is not None and d != fresh.worst_drop(i) for i, d in enumerate(self._drop)
+        ):
+            raise InternalInvariantError(
+                "incrementally maintained cost matrix drifted from a fresh build"
+            )
 
 
 def is_alpha_ef(
@@ -213,7 +277,8 @@ def is_alpha_ef(
     Unallocated items never enter the comparison.
     """
     _check_consistent(inst, alloc)
-    viols = ef_violations_funcs(inst.agents, alloc.bundles, alpha)
+    alpha = _as_alpha(alpha)
+    viols = CostMatrix(inst.agents, alloc.bundles).ef_violations(alpha)
     return (not viols, viols)
 
 
@@ -227,7 +292,8 @@ def is_alpha_efx(
     Empty own bundles satisfy the condition vacuously.
     """
     _check_consistent(inst, alloc)
-    viols = efx_violations_funcs(inst.agents, alloc.bundles, alpha)
+    alpha = _as_alpha(alpha)
+    viols = CostMatrix(inst.agents, alloc.bundles).efx_violations(alpha)
     return (not viols, viols)
 
 
@@ -334,13 +400,7 @@ class EnvyGraph:
 
 def build_envy_graph(inst: Instance, alloc: Allocation) -> EnvyGraph:
     _check_consistent(inst, alloc)
-    edges = set()
-    for i, fi in enumerate(inst.agents):
-        own = evaluate(fi, alloc.bundles[i])
-        for j in range(inst.n):
-            if j != i and own == evaluate(fi, alloc.bundles[j]):
-                edges.add((i, j))
-    return EnvyGraph(n=inst.n, edges=frozenset(edges))
+    return CostMatrix(inst.agents, alloc.bundles).graph()
 
 
 def strongly_connected_components(n: int, successors: Callable[[int], list[int]]) -> list[list[int]]:
@@ -514,9 +574,7 @@ __all__ = [
     "find_cycle_through_edge",
     "strongly_connected_components",
     "fairness_report",
-    "ef_violations_funcs",
-    "efx_violations_funcs",
-    "is_efx_funcs",
+    "CostMatrix",
     "ENUMERATION_HARD_CAP",
     "DEFAULT_ENUMERATION_LIMIT",
 ]

@@ -35,11 +35,6 @@ def from_indices(indices: Iterable[int], m: int | None = None) -> ItemSet:
     return mask
 
 
-def to_indices(mask: ItemSet) -> list[int]:
-    """Sorted list of member indices."""
-    return list(iter_items(mask))
-
-
 def iter_items(mask: ItemSet) -> Iterator[int]:
     """Yield member indices in increasing order."""
     while mask:
@@ -52,34 +47,9 @@ def size(mask: ItemSet) -> int:
     return mask.bit_count()
 
 
-def contains(mask: ItemSet, item: int) -> bool:
-    return bool(mask >> item & 1) if item >= 0 else False
-
-
-def add(mask: ItemSet, item: int) -> ItemSet:
-    return mask | (1 << item)
-
-
-def remove(mask: ItemSet, item: int) -> ItemSet:
-    return mask & ~(1 << item)
-
-
 def lowest(mask: ItemSet) -> int:
     """Smallest member index; the set must be non-empty."""
     if not mask:
         raise InvalidInputError("empty item set has no lowest member")
     return (mask & -mask).bit_length() - 1
 
-
-def iter_subsets(mask: ItemSet) -> Iterator[ItemSet]:
-    """All subsets of ``mask``, in increasing numeric order.
-
-    Uses the standard sub = (sub - mask) & mask walk, starting at the
-    empty set and ending with ``mask`` itself.
-    """
-    sub = 0
-    while True:
-        yield sub
-        if sub == mask:
-            return
-        sub = (sub - mask) & mask

@@ -11,6 +11,7 @@ results are merged in rank order, so worker count never changes a report.
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -64,6 +65,8 @@ class EnumerationReport:
 
 
 def _check_size(inst: Instance, limit: int) -> int:
+    if limit < 1:
+        raise InvalidInputError(f"limit must be positive, got {limit}")
     if limit > ENUMERATION_HARD_CAP:
         raise InvalidInputError(f"limit exceeds the hard cap of {ENUMERATION_HARD_CAP}")
     total = inst.n**inst.m
@@ -236,7 +239,8 @@ def analyze(
     ``sections`` selects what to compute: "efx" and "frontier" materialise
     allocation lists, "efx-po" the intersection flag (forces the frontier
     pass), "min-sc" the social-cost minimum.  Results are deterministic
-    and independent of ``jobs`` and ``chunk``.
+    and independent of ``jobs`` and ``chunk``; ``jobs`` is capped at the
+    machine's CPU count.
     """
     wanted = set(sections)
     unknown = wanted.difference(SECTIONS)
@@ -246,6 +250,9 @@ def analyze(
     n, m = inst.n, inst.m
     if chunk < 1:
         raise InvalidInputError("chunk size must be positive")
+    if jobs < 1:
+        raise InvalidInputError(f"jobs must be positive, got {jobs}")
+    jobs = min(jobs, os.cpu_count() or 1)
 
     report = EnumerationReport(total_allocations=total)
     first = _run_ranges(inst, total, jobs, None, "efx" in wanted, chunk)

@@ -19,7 +19,6 @@ class GuaranteeTag(Enum):
     EFX = "efx"
     PARTIAL_EF = "partial-ef"
     TWO_EF = "2-ef"
-    TWO_EFX = "2-efx"
 
 
 @dataclass

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import InternalInvariantError
-from ..fairness import Allocation, fairness_report, is_alpha_efx, is_efx_funcs, social_cost
+from ..fairness import Allocation, CostMatrix, fairness_report, is_alpha_efx, social_cost
 from ..instances import Instance
 from ..itemset import ItemSet, full_set, iter_items, size
 from ..reports import GuaranteeTag, SolveReport
@@ -64,7 +64,7 @@ def solve_additive(
     zero-cost agent, rounds pick the lowest-index unallocated costly item
     and the lowest-index cheapest agent, and reassignment targets the
     lowest-index rival that witnesses the break.  ``debug`` re-checks
-    removal stability after every round.
+    removal stability and the maintained cost matrix after every round.
     """
     ensure_class(inst, "additive")
     n, m = inst.n, inst.m
@@ -79,54 +79,54 @@ def solve_additive(
         bundles[i] |= 1 << e
         tr.emit("free-placement", item=e, agent=i)
 
+    matrix = CostMatrix(inst.agents, bundles, ops.evaluate)
     for e in iter_items(part.m_plus):
         counters["rounds"] += 1
-        own = [ops.evaluate(fn, b) for fn, b in zip(inst.agents, bundles)]
-        i_star = min(range(n), key=own.__getitem__)
-        cost_before = own[i_star]
-        bundles[i_star] |= 1 << e
+        i_star = min(range(n), key=lambda i: matrix.cost[i][i])
+        cost_before = matrix.cost[i_star][i_star]
+        matrix.update(i_star, matrix.bundles[i_star] | 1 << e)
         tr.emit("place", round=counters["rounds"], item=e, agent=i_star)
 
         fi = inst.agents[i_star]
-        mine = bundles[i_star]
-        worst_drop = max(ops.evaluate(fi, mine ^ (1 << f)) for f in iter_items(mine))
-        target = None
-        for j in range(n):
-            if j != i_star and worst_drop > ops.evaluate(fi, bundles[j]):
-                target = j
-                break
+        worst_drop = matrix.worst_drop(i_star)
+        rivals = matrix.cost[i_star]
+        target = next((j for j in range(n) if j != i_star and worst_drop > rivals[j]), None)
         if target is not None:
             j = target
             counters["reassignments"] += 1
             # a break is only possible between equally loaded bundles
-            if ops.evaluate(inst.agents[j], bundles[j]) != cost_before:
+            if matrix.cost[j][j] != cost_before:
                 raise InternalInvariantError(
                     f"reassignment of item {e} fired although agents {i_star} and "
                     f"{j} hold bundles of different own cost"
                 )
-            bundles[i_star] &= ~(1 << e)
-            bundles[j] |= 1 << e
+            mine = matrix.bundles[i_star] & ~(1 << e)
+            theirs = matrix.bundles[j] | 1 << e
             tr.emit("reassign", round=counters["rounds"], item=e, agent=j, source=i_star)
             # pull back whatever the placing agent can carry for free;
             # singleton costs do not move, so one pass settles it
-            for f in iter_items(bundles[j]):
+            for f in iter_items(theirs):
                 if ops.evaluate(fi, 1 << f) == 0:
-                    bundles[j] &= ~(1 << f)
-                    bundles[i_star] |= 1 << f
+                    theirs &= ~(1 << f)
+                    mine |= 1 << f
                     counters["dragged_items"] += 1
                     tr.emit("pull-back", round=counters["rounds"], item=f, agent=i_star)
-            for f in iter_items(bundles[j]):
+            for f in iter_items(theirs):
                 if ops.evaluate(fi, 1 << f) == 0:
                     raise InternalInvariantError(
                         f"item {f} stayed with agent {j} although agent {i_star} "
                         "carries it for free"
                     )
-        if debug and not is_efx_funcs(inst.agents, bundles):
-            raise InternalInvariantError(
-                f"removal stability broke in round {counters['rounds']}"
-            )
+            matrix.update(i_star, mine)
+            matrix.update(j, theirs)
+        if debug:
+            matrix.check_against_rebuild()
+            if not matrix.is_efx():
+                raise InternalInvariantError(
+                    f"removal stability broke in round {counters['rounds']}"
+                )
 
-    alloc = Allocation.make(n, m, bundles)
+    alloc = Allocation.make(n, m, matrix.bundles)
     if not alloc.complete:
         raise InternalInvariantError("solver left items unallocated")
     sc = social_cost(inst, alloc)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from ..costs import CostFunction, residual
 from ..errors import InternalInvariantError, InvalidInputError
-from ..fairness import Allocation, fairness_report, is_alpha_efx, is_efx_funcs
+from ..fairness import Allocation, CostMatrix, fairness_report, is_alpha_efx
 from ..instances import Instance
 from ..itemset import ItemSet, full_set, iter_items, lowest, size
 from ..reports import GuaranteeTag, SolveReport
@@ -67,9 +67,9 @@ def phase1(
             pool &= ~(1 << e)
             tr.emit("base-placement", round=rounds, item=e, agent=k)
     w = size(bundles[0])
-    for i, fi in enumerate(inst.agents):
-        for j in range(n):
-            got = ops.evaluate(fi, bundles[j])
+    prices = CostMatrix(inst.agents, bundles, ops.evaluate).cost
+    for i, row in enumerate(prices):
+        for j, got in enumerate(row):
             if got != w:
                 raise InternalInvariantError(
                     f"agent {i} prices base bundle {j} at {got}, expected the "
@@ -122,6 +122,9 @@ def phase2(
         bundles[k] = 1 << e
         pool &= ~(1 << e)
         tr.emit("seed", item=e, agent=k)
+    matrix = CostMatrix(views, bundles, ops.evaluate)
+    # both lists are kept current in place by matrix.update
+    bundles, cost = matrix.bundles, matrix.cost
 
     while pool:
         counters["iterations"] += 1
@@ -135,36 +138,27 @@ def phase2(
         placed = False
         for i, v in enumerate(views):
             if ops.marginal(v, e, bundles[i]) == 0:
-                bundles[i] |= 1 << e
-                if is_efx_funcs(views, bundles):
+                old = bundles[i]
+                matrix.update(i, old | 1 << e)
+                if matrix.is_efx():
                     pool &= ~(1 << e)
                     placed = True
                     counters["adds"] += 1
                     tr.emit("add", item=e, agent=i)
                     break
-                bundles[i] &= ~(1 << e)
+                matrix.update(i, old)
         if not placed:
-            i = next(
-                (i for i, v in enumerate(views) if ops.evaluate(v, bundles[i]) == 0),
-                None,
-            )
+            i = next((i for i in range(n) if cost[i][i] == 0), None)
             if i is not None:
-                j = next(
-                    (
-                        j
-                        for j in range(n)
-                        if j != i and ops.evaluate(views[i], bundles[j]) == 0
-                    ),
-                    None,
-                )
+                j = next((j for j in range(n) if j != i and cost[i][j] == 0), None)
                 if j is not None:
-                    bundles[i] |= bundles[j]
-                    bundles[j] = 1 << e
+                    matrix.update(i, bundles[i] | bundles[j])
+                    matrix.update(j, 1 << e)
                     pool &= ~(1 << e)
                     counters["merges"] += 1
                     tr.emit("merge", item=e, agent=i, absorbed=j)
                 else:
-                    bundles[i] |= 1 << e
+                    matrix.update(i, bundles[i] | 1 << e)
                     pool &= ~(1 << e)
                     counters["takes"] += 1
                     tr.emit("take", item=e, agent=i)
@@ -174,7 +168,7 @@ def phase2(
                         (i, j)
                         for i in range(n)
                         for j in range(n)
-                        if j != i and ops.evaluate(views[i], bundles[j]) == 0
+                        if j != i and cost[i][j] == 0
                     ),
                     None,
                 )
@@ -184,17 +178,18 @@ def phase2(
                         "outside the supported classes"
                     )
                 i, j = pair
-                bundles[i], bundles[j] = bundles[j], bundles[i]
+                bi, bj = bundles[i], bundles[j]
+                matrix.update(i, bj)
+                matrix.update(j, bi)
                 counters["swaps"] += 1
                 tr.emit("swap", agents=[i, j])
-        for i, v in enumerate(views):
-            got = ops.evaluate(v, bundles[i])
-            if got > 1:
+        for i in range(n):
+            if cost[i][i] > 1:
                 raise InternalInvariantError(
-                    f"agent {i}'s residual bundle cost reached {got} after "
+                    f"agent {i}'s residual bundle cost reached {cost[i][i]} after "
                     f"iteration {counters['iterations']}"
                 )
-        if not is_efx_funcs(views, bundles):
+        if not matrix.is_efx():
             raise InternalInvariantError(
                 f"removal stability under the residual views broke after "
                 f"iteration {counters['iterations']}"

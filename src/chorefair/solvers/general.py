@@ -15,8 +15,7 @@ from __future__ import annotations
 from ..errors import InternalInvariantError
 from ..fairness import (
     Allocation,
-    EnvyGraph,
-    ef_violations_funcs,
+    CostMatrix,
     fairness_report,
     find_cycle_through_edge,
     is_alpha_ef,
@@ -28,38 +27,6 @@ from ..reports import GuaranteeTag, SolveReport
 from .common import OpCounter, Trace, ensure_class
 
 
-class _CostMatrix:
-    """cost[i][j] = agent i's price for bundle j, kept current per iteration.
-
-    In incremental mode only the columns whose bundles changed are
-    re-queried; otherwise the whole matrix is rebuilt.
-    """
-
-    __slots__ = ("inst", "ops", "cost")
-
-    def __init__(self, inst: Instance, bundles: list[ItemSet], ops: OpCounter):
-        self.inst = inst
-        self.ops = ops
-        self.cost = [
-            [ops.evaluate(fn, b) for b in bundles] for fn in inst.agents
-        ]
-
-    def refresh(self, bundles: list[ItemSet], columns) -> None:
-        for j in columns:
-            for i, fn in enumerate(self.inst.agents):
-                self.cost[i][j] = self.ops.evaluate(fn, bundles[j])
-
-    def graph(self) -> EnvyGraph:
-        n = self.inst.n
-        edges = frozenset(
-            (i, j)
-            for i in range(n)
-            for j in range(n)
-            if i != j and self.cost[i][i] == self.cost[i][j]
-        )
-        return EnvyGraph(n=n, edges=edges)
-
-
 def run_envy_loop(
     inst: Instance,
     bundles: list[ItemSet],
@@ -69,7 +36,6 @@ def run_envy_loop(
     tr: Trace | None = None,
     counters: dict[str, int] | None = None,
     debug: bool = False,
-    incremental: bool = False,
 ) -> ItemSet:
     """Drive the placement loop from a given envy-free partial state.
 
@@ -78,8 +44,9 @@ def run_envy_loop(
     pair), cycle rotation (edges in lexicographic order, items in index
     order, shortest cycle), then the batch hand-out to the equality
     component containing the lowest agent, or termination when items run
-    out.  ``debug`` re-checks envy-freeness after every iteration and, in
-    incremental mode, the maintained equality graph against a rebuild.
+    out.  The cost matrix behind the equality graph is re-priced only for
+    the bundles an iteration changed.  ``debug`` re-checks envy-freeness
+    and the maintained matrix against a fresh build after every iteration.
     """
     ops = ops or OpCounter()
     tr = tr or Trace(False)
@@ -87,7 +54,7 @@ def run_envy_loop(
     for key in ("iterations", "zero_placements", "rotations", "batches"):
         counters.setdefault(key, 0)
     n, m = inst.n, inst.m
-    matrix = _CostMatrix(inst, bundles, ops) if incremental else None
+    matrix = CostMatrix(inst.agents, bundles, ops.evaluate)
 
     while pool:
         counters["iterations"] += 1
@@ -95,15 +62,7 @@ def run_envy_loop(
             raise InternalInvariantError(
                 f"placement loop still running after {m + 1} iterations"
             )
-        if not incremental:
-            matrix = _CostMatrix(inst, bundles, ops)
         graph = matrix.graph()
-        if debug and incremental:
-            if graph.edges != _CostMatrix(inst, bundles, ops).graph().edges:
-                raise InternalInvariantError(
-                    "incrementally maintained equality graph drifted from "
-                    "the rebuilt one"
-                )
 
         touched: list[int] = []
         fired = False
@@ -166,10 +125,11 @@ def run_envy_loop(
             counters["batches"] += 1
             touched = component
 
-        if incremental:
-            matrix.refresh(bundles, touched)
+        for j in touched:
+            matrix.update(j, bundles[j])
         if debug:
-            viols = ef_violations_funcs(inst.agents, bundles, 1)
+            matrix.check_against_rebuild()
+            viols = matrix.ef_violations(1)
             if viols:
                 raise InternalInvariantError(
                     f"envy appeared after iteration {counters['iterations']}: "
@@ -184,7 +144,6 @@ def solve_general(
     debug: bool = False,
     trace: bool = False,
     verify: bool = False,
-    incremental: bool = False,
 ) -> SolveReport:
     """Envy-free allocation leaving at most n-1 items unallocated."""
     ensure_class(inst, "general")
@@ -201,7 +160,6 @@ def solve_general(
         tr=tr,
         counters=counters,
         debug=debug,
-        incremental=incremental,
     )
     if size(pool) > n - 1:
         raise InternalInvariantError(

@@ -13,13 +13,7 @@ from everywhere, so the single extra unit of cost stays within factor 2.
 from __future__ import annotations
 
 from ..errors import InternalInvariantError
-from ..fairness import (
-    Allocation,
-    ef_violations_funcs,
-    fairness_report,
-    is_alpha_ef,
-    is_alpha_efx,
-)
+from ..fairness import Allocation, CostMatrix, fairness_report, is_alpha_ef, is_alpha_efx
 from ..instances import Instance
 from ..itemset import ItemSet, full_set, iter_items, size
 from ..reports import GuaranteeTag, SolveReport
@@ -103,16 +97,17 @@ def solve_submodular(
         alloc = Allocation.make(n, m, bundles)
         if not alloc.complete:
             raise InternalInvariantError("solver left items unallocated")
-        for i, fi in enumerate(inst.agents):
-            for j in range(n):
-                if ops.evaluate(fi, alloc.bundles[j]) < 1:
+        matrix = CostMatrix(inst.agents, alloc.bundles, ops.evaluate)
+        for i, row in enumerate(matrix.cost):
+            for j, price in enumerate(row):
+                if price < 1:
                     raise InternalInvariantError(
                         f"agent {i} prices bundle {j} below 1 despite the "
                         "unit-cost seeding"
                     )
-        for v in ef_violations_funcs(inst.agents, alloc.bundles, 1):
-            own = ops.evaluate(inst.agents[v.i], alloc.bundles[v.i])
-            other = ops.evaluate(inst.agents[v.i], alloc.bundles[v.j])
+        for v in matrix.ef_violations(1):
+            own = matrix.cost[v.i][v.i]
+            other = matrix.cost[v.i][v.j]
             if own != other + 1:
                 raise InternalInvariantError(
                     f"agent {v.i} envies {v.j} by {own - other}, expected "

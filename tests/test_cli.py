@@ -248,6 +248,17 @@ class TestEnumerate:
         assert code == 2
         assert "exceed" in err
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--limit", "-5", "limit must be positive"), ("--jobs", "0", "jobs must be positive")],
+    )
+    def test_non_positive_settings_refused(self, capsys, flag, value, message):
+        code, out, err = run(
+            capsys, "enumerate", "--builtin", "ternary-no-efxpo", flag, value
+        )
+        assert code == 2
+        assert err.strip() == f"error: {message}, got {value}"
+
 
 class TestGenerate:
     def test_round_trip(self, capsys, tmp_path):
@@ -317,6 +328,11 @@ class TestBench:
         code, out, err = run(capsys, "bench", "--sizes", "nonsense")
         assert code == 2
         assert "--sizes" in err
+
+    def test_zero_runs_refused(self, capsys):
+        code, out, err = run(capsys, "bench", "--sizes", "2x4..2x4", "--runs", "0")
+        assert code == 2
+        assert err.strip() == "error: runs must be positive, got 0"
 
 
 class TestPlumbing:

@@ -59,6 +59,10 @@ def test_cardinality_values():
 def test_partition_matroid_values():
     fn = PartitionMatroidRank(groups=((0, 1), (2, 3, 4)), capacities=(1, 2))
     assert fn.m == 5
+    # the cached size stays out of equality, hashing and repr
+    same = PartitionMatroidRank(groups=((1, 0), (2, 3, 4)), capacities=(1, 2))
+    assert fn == same and hash(fn) == hash(same)
+    assert repr(fn) == "PartitionMatroidRank(groups=((0, 1), (2, 3, 4)), capacities=(1, 2))"
     assert evaluate(fn, 0b00011) == 1
     assert evaluate(fn, 0b11100) == 2
     assert evaluate(fn, full_set(5)) == 3

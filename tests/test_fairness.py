@@ -1,21 +1,23 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from chorefair.costs import Additive, Threshold
-from chorefair.errors import InvalidInputError, UnsupportedSizeError
+from chorefair.costs import Additive, Threshold, evaluate
+from chorefair.errors import InternalInvariantError, InvalidInputError, UnsupportedSizeError
 from chorefair.fairness import (
     Allocation,
+    CostMatrix,
     EnvyGraph,
     Violation,
     allocation_from_rank,
     build_envy_graph,
-    ef_violations_funcs,
     fairness_report,
     find_cycle_through_edge,
     is_alpha_ef,
     is_alpha_efx,
-    is_efx_funcs,
     is_po_bruteforce,
     social_cost,
     strongly_connected_components,
@@ -110,13 +112,94 @@ def test_empty_bundles_are_vacuously_stable():
     assert is_alpha_efx(inst, empty, 1)[0]
 
 
-def test_funcs_level_checkers():
+def test_cost_matrix_checks():
     funcs = (Additive((1, 1, 0)), Additive((1, 0, 1)))
-    assert is_efx_funcs(funcs, (0b101, 0b010))
-    assert not is_efx_funcs(funcs, (0b011, 0b100))
-    assert is_efx_funcs((funcs[0],), (0b111,))
-    viols = ef_violations_funcs(funcs, (0b011, 0b100), 1)
+    assert CostMatrix(funcs, (0b101, 0b010)).is_efx()
+    assert not CostMatrix(funcs, (0b011, 0b100)).is_efx()
+    assert CostMatrix((funcs[0],), (0b111,)).is_efx()
+    viols = CostMatrix(funcs, (0b011, 0b100)).ef_violations(1)
     assert viols == [Violation("ef", 0, 1, None)]
+
+
+def test_cost_matrix_entries_and_queries():
+    funcs = (Additive((1, 1, 0)), Additive((1, 0, 1)))
+    calls = []
+
+    def query(fn, mask):
+        calls.append(mask)
+        return evaluate(fn, mask)
+
+    matrix = CostMatrix(funcs, [0b011, 0b100], query)
+    assert matrix.cost == [[2, 0], [1, 1]]
+    assert len(calls) == 4
+    assert matrix.worst_drop(0) == 1 and matrix.worst_drop(1) == 0
+    matrix.update(1, 0b110)
+    assert matrix.bundles == [0b011, 0b110]
+    assert matrix.cost == [[2, 1], [1, 1]]
+    assert calls[-2:] == [0b110, 0b110]
+    assert matrix.graph().edges == frozenset({(1, 0)})
+    with pytest.raises(InvalidInputError):
+        CostMatrix(funcs, [0b111])
+
+
+def test_cost_matrix_rebuild_check_catches_drift():
+    funcs = (Additive((1, 1, 0)), Additive((1, 0, 1)))
+    matrix = CostMatrix(funcs, [0b011, 0b100])
+    matrix.check_against_rebuild()
+    matrix.cost[0][1] = 7
+    with pytest.raises(InternalInvariantError):
+        matrix.check_against_rebuild()
+
+
+def _naive_is_efx(funcs, bundles):
+    """Removal stability straight from the definition."""
+    for i, fn in enumerate(funcs):
+        for j, other in enumerate(bundles):
+            for e in range(fn.m):
+                if j != i and bundles[i] >> e & 1:
+                    if evaluate(fn, bundles[i] & ~(1 << e)) > evaluate(fn, other):
+                        return False
+    return True
+
+
+@given(
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=0, max_value=7),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 7)), max_size=12),
+)
+def test_cost_matrix_updates_match_fresh_build(n, m, seed, moves):
+    rng = random.Random(seed)
+    funcs = [
+        Additive(tuple(rng.randint(0, 1) for _ in range(m)))
+        if rng.random() < 0.5
+        else Threshold(k=rng.randint(0, m), m=m)
+        for _ in range(n)
+    ]
+    owners = [rng.randrange(n + 1) for _ in range(m)]  # n means unallocated
+    bundles = [sum(1 << e for e, o in enumerate(owners) if o == i) for i in range(n)]
+    matrix = CostMatrix(funcs, bundles)
+    for agent, item in moves:
+        agent %= n
+        if item < m:
+            # move item to agent's bundle, or back to the pool if she has it
+            holder = owners[item]
+            if holder < n:
+                bundles[holder] &= ~(1 << item)
+                matrix.update(holder, bundles[holder])
+            owners[item] = n if holder == agent else agent
+            if holder != agent:
+                bundles[agent] |= 1 << item
+                matrix.update(agent, bundles[agent])
+        fresh = CostMatrix(funcs, bundles)
+        assert matrix.bundles == bundles
+        assert matrix.cost == fresh.cost
+        for i, b in enumerate(bundles):
+            if b:
+                assert matrix.worst_drop(i) == fresh.worst_drop(i)
+        matrix.check_against_rebuild()
+        assert matrix.is_efx() == _naive_is_efx(funcs, bundles)
+        assert matrix.is_efx() == (not matrix.efx_violations(1))
 
 
 def test_is_po_bruteforce_on_ternary():

@@ -3,18 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chorefair.errors import InvalidInputError
-from chorefair.itemset import (
-    add,
-    contains,
-    from_indices,
-    full_set,
-    iter_items,
-    iter_subsets,
-    lowest,
-    remove,
-    size,
-    to_indices,
-)
+from chorefair.itemset import from_indices, full_set, iter_items, lowest, size
 
 masks = st.integers(min_value=0, max_value=(1 << 12) - 1)
 
@@ -30,7 +19,6 @@ def test_full_set():
 def test_from_indices_roundtrip():
     assert from_indices([], 4) == 0
     assert from_indices([0, 2], 4) == 0b101
-    assert to_indices(0b1011) == [0, 1, 3]
     with pytest.raises(InvalidInputError):
         from_indices([4], 4)
     with pytest.raises(InvalidInputError):
@@ -47,28 +35,9 @@ def test_iter_items_sorted_and_sized(mask):
     assert from_indices(items, 12) == mask
 
 
-def test_membership_ops():
-    mask = 0b1010
-    assert contains(mask, 1) and contains(mask, 3)
-    assert not contains(mask, 0) and not contains(mask, 5)
-    assert add(mask, 0) == 0b1011
-    assert add(mask, 1) == mask
-    assert remove(mask, 3) == 0b0010
-    assert remove(mask, 0) == mask
-
-
 def test_lowest():
     assert lowest(0b1000) == 3
     assert lowest(0b0110) == 1
     with pytest.raises(InvalidInputError):
         lowest(0)
 
-
-@given(st.integers(min_value=0, max_value=(1 << 9) - 1))
-def test_iter_subsets_complete(mask):
-    subs = list(iter_subsets(mask))
-    assert subs[0] == 0 and subs[-1] == mask
-    assert len(subs) == 1 << size(mask)
-    assert len(set(subs)) == len(subs)
-    assert all(sub & mask == sub for sub in subs)
-    assert subs == sorted(subs)

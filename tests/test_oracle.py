@@ -1,7 +1,9 @@
 import json
+from concurrent.futures import Future
 
 import pytest
 
+from chorefair import oracle
 from chorefair.costs import evaluate
 from chorefair.errors import InvalidInputError, UnsupportedSizeError
 from chorefair.fairness import Allocation, is_alpha_efx
@@ -88,6 +90,34 @@ def test_jobs_and_chunking_do_not_change_report():
     assert analyze(inst, jobs=3).to_json() == base
     assert analyze(inst, chunk=37).to_json() == base
     assert analyze(inst, jobs=2, chunk=7).to_json() == base
+
+
+def test_jobs_capped_at_cpu_count(monkeypatch):
+    # a stand-in pool runs the work inline, so no process is started
+    workers = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
+    inst = generate("threshold", 3, 5, seed=9)
+    assert analyze(inst, jobs=64).to_json() == analyze(inst).to_json()
+    assert workers == [2, 2]  # the scan pass and the frontier pass
+    with pytest.raises(InvalidInputError, match="jobs"):
+        analyze(inst, jobs=0)
 
 
 def test_sections_gate_the_fields():
