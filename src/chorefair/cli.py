@@ -35,11 +35,10 @@ from .instances import (
     load_instance,
     serialize_instance,
 )
-from .itemset import iter_items, size
+from .itemset import iter_items
 from .oracle import SECTIONS, analyze, efx_exists_search
-from .reports import GuaranteeTag, SolveReport
+from .reports import SolveReport
 from .solvers import SOLVERS, solve_auto
-from .solvers.additive import PO_SCAN_LIMIT, partition_items
 
 log = logging.getLogger("chorefair")
 
@@ -77,55 +76,6 @@ def _items(mask: int) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _independent_check(
-    inst: Instance, report: SolveReport
-) -> tuple[dict, list[str], list[str]]:
-    """Re-prove the guarantee tag from scratch with the standalone checkers.
-
-    The solver's own word is never taken: every property the tag implies is
-    recomputed on (instance, allocation) alone.  Returns the check table,
-    the failed check names, and informational notes.
-    """
-    alloc = report.allocation
-    tag = report.guarantee
-    checks: dict[str, bool] = {}
-    failures: list[str] = []
-    notes: list[str] = []
-
-    def record(name: str, ok: bool) -> None:
-        checks[name] = ok
-        if not ok:
-            failures.append(name)
-
-    feasible_po = inst.n**inst.m <= PO_SCAN_LIMIT
-    if tag is GuaranteeTag.EFX_AND_PO:
-        record("complete", alloc.complete)
-        record("efx", is_alpha_efx(inst, alloc, 1)[0])
-        part = partition_items(inst)
-        record("minimal-social-cost", social_cost(inst, alloc) == size(part.m_plus))
-        if feasible_po:
-            record("po", is_po_bruteforce(inst, alloc)[0])
-        else:
-            notes.append(
-                "po confirmed via the social-cost minimum; ground set too "
-                "large for the brute-force scan"
-            )
-    elif tag is GuaranteeTag.EFX:
-        record("complete", alloc.complete)
-        record("efx", is_alpha_efx(inst, alloc, 1)[0])
-        if feasible_po and not is_po_bruteforce(inst, alloc)[0]:
-            notes.append("not PO")
-    elif tag is GuaranteeTag.PARTIAL_EF:
-        record("ef", is_alpha_ef(inst, alloc, 1)[0])
-        record("leftover-at-most-n-minus-1", size(alloc.unallocated) <= inst.n - 1)
-    elif tag is GuaranteeTag.TWO_EF:
-        record("complete", alloc.complete)
-        record("2-ef", is_alpha_ef(inst, alloc, 2)[0])
-        record("2-efx", is_alpha_efx(inst, alloc, 2)[0])
-    verification = {"tag": tag.value, "checks": checks, "passed": not failures}
-    return verification, failures, notes
-
-
 def _solve_text(report: SolveReport, notes: list[str]) -> str:
     alloc = report.allocation
     lines = [
@@ -143,7 +93,7 @@ def _solve_text(report: SolveReport, notes: list[str]) -> str:
 def _run_solve(args: argparse.Namespace) -> int:
     inst = _load_target(args)
     solver = solve_auto if args.algorithm == "auto" else SOLVERS[args.algorithm]
-    report = solver(inst, debug=args.debug, trace=args.trace)
+    report = solver(inst, debug=args.debug, trace=args.trace, verify=args.verify)
     if report.trace:
         for event in report.trace:
             print(json.dumps(event, sort_keys=True), file=sys.stderr)
@@ -151,13 +101,12 @@ def _run_solve(args: argparse.Namespace) -> int:
     notes = list(report.notes)
     payload = report.to_json()
     code = 0
-    if args.verify:
-        verification, failures, extra = _independent_check(inst, report)
-        notes.extend(extra)
-        payload["verification"] = verification
-        for name in failures:
+    cert = report.verification
+    if cert is not None:
+        notes.extend(cert.notes)
+        for name in cert.failures:
             print(f"verification failure: {name}", file=sys.stderr)
-        if failures:
+        if not cert.passed:
             code = 1
     payload["notes"] = notes
 
@@ -368,6 +317,10 @@ def _run_generate(args: argparse.Namespace) -> int:
                 params = json.loads(args.params)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"--params: {exc}") from exc
+            if not isinstance(params, dict) or not all(
+                type(v) is int for v in params.values()
+            ):
+                raise InvalidInputError("--params: expected a JSON object with integer values")
         inst = generate(args.family, args.agents, args.items, args.seed, params=params)
     text = serialize_instance(inst)
     if args.output:

@@ -270,7 +270,6 @@ class ResidualView:
             raise InvalidInputError(
                 f"residual query {bin(mask)} overlaps the base bundle {bin(self.base)}"
             )
-        _check_mask(self.fn, mask)
         return self.fn.value(mask | self.base) - self._base_value
 
     def __repr__(self) -> str:
@@ -573,12 +572,21 @@ def _check_submodular(m: int, v: np.ndarray, witnesses: dict[str, Witness]) -> b
     return True
 
 
+def _random_subset(rng: np.random.Generator, m: int) -> ItemSet:
+    mask = 0
+    for low in range(0, m, 62):
+        mask |= int(rng.integers(0, 1 << min(62, m - low))) << low
+    return mask
+
+
 def sample_class(fn: CostFunction, trials: int = 10_000, seed: int = 0) -> FunctionClassReport:
     """Randomised class check for ground sets too large to enumerate.
 
     Draws ``trials`` uniform (S, T, e) configurations per property.  A True
     flag means no counterexample surfaced; the report is marked
     ``method="sampled"`` to keep it distinct from a proven verdict.
+    Subsets are drawn in words of at most 62 bits, so any m works and
+    m <= 62 takes a single draw.
     """
     m = fn.m
     rng = np.random.default_rng(seed)
@@ -586,8 +594,8 @@ def sample_class(fn: CostFunction, trials: int = 10_000, seed: int = 0) -> Funct
     binary = monotone = additive_ok = cancelable_ok = submodular_ok = True
     if m > 0:
         for _ in range(trials):
-            s = int(rng.integers(0, 1 << m))
-            t = int(rng.integers(0, 1 << m))
+            s = _random_subset(rng, m)
+            t = _random_subset(rng, m)
             e = int(rng.integers(0, m))
             bit = 1 << e
             s_no = s & ~bit

@@ -15,7 +15,7 @@ this module is exact; no floats anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -502,68 +502,10 @@ def find_cycle_through_edge(graph: EnvyGraph, i: int, j: int) -> list[int] | Non
     return [i] + path[:-1]
 
 
-# ---------------------------------------------------------------------------
-# Combined report
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class FairnessReport:
-    """One-stop verification summary for an allocation."""
-
-    alpha: Fraction
-    ef: bool
-    efx: bool
-    social_cost: int
-    complete: bool
-    po: bool | None = None
-    violations: list[Violation] = field(default_factory=list)
-    dominated_by: Allocation | None = None
-
-    def to_json(self) -> dict:
-        return {
-            "alpha": f"{self.alpha.numerator}/{self.alpha.denominator}",
-            "ef": self.ef,
-            "efx": self.efx,
-            "social_cost": self.social_cost,
-            "complete": self.complete,
-            "po": self.po,
-            "violations": [v.to_json() for v in self.violations],
-            "dominated_by": self.dominated_by.to_json() if self.dominated_by else None,
-        }
-
-
-def fairness_report(
-    inst: Instance,
-    alloc: Allocation,
-    alpha: Fraction | int | str = 1,
-    include_po: bool = False,
-    po_limit: int = DEFAULT_ENUMERATION_LIMIT,
-) -> FairnessReport:
-    alpha = _as_alpha(alpha)
-    ef_ok, ef_viols = is_alpha_ef(inst, alloc, alpha)
-    efx_ok, efx_viols = is_alpha_efx(inst, alloc, alpha)
-    po: bool | None = None
-    dominated = None
-    if include_po:
-        po, dominated = is_po_bruteforce(inst, alloc, limit=po_limit)
-    return FairnessReport(
-        alpha=alpha,
-        ef=ef_ok,
-        efx=efx_ok,
-        social_cost=social_cost(inst, alloc),
-        complete=alloc.complete,
-        po=po,
-        violations=ef_viols + efx_viols,
-        dominated_by=dominated,
-    )
-
-
 __all__ = [
     "Allocation",
     "Violation",
     "EnvyGraph",
-    "FairnessReport",
     "social_cost",
     "is_alpha_ef",
     "is_alpha_efx",
@@ -573,7 +515,6 @@ __all__ = [
     "tail_scc",
     "find_cycle_through_edge",
     "strongly_connected_components",
-    "fairness_report",
     "CostMatrix",
     "ENUMERATION_HARD_CAP",
     "DEFAULT_ENUMERATION_LIMIT",

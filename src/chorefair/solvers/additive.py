@@ -14,15 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import InternalInvariantError
-from ..fairness import Allocation, CostMatrix, fairness_report, is_alpha_efx, social_cost
+from ..fairness import CostMatrix
 from ..instances import Instance
-from ..itemset import ItemSet, full_set, iter_items, size
+from ..itemset import ItemSet, full_set, iter_items
 from ..reports import GuaranteeTag, SolveReport
-from .common import OpCounter, Trace, ensure_class
-
-# Above this many complete allocations, a verify run skips the brute-force
-# Pareto scan; the social-cost certificate below still applies.
-PO_SCAN_LIMIT = 10**6
+from .common import OpCounter, Trace, ensure_class, finish
 
 
 @dataclass(frozen=True)
@@ -67,7 +63,7 @@ def solve_additive(
     removal stability and the maintained cost matrix after every round.
     """
     ensure_class(inst, "additive")
-    n, m = inst.n, inst.m
+    n = inst.n
     ops = OpCounter()
     tr = Trace(trace)
     part = _partition(inst, ops)
@@ -126,34 +122,8 @@ def solve_additive(
                     f"removal stability broke in round {counters['rounds']}"
                 )
 
-    alloc = Allocation.make(n, m, matrix.bundles)
-    if not alloc.complete:
-        raise InternalInvariantError("solver left items unallocated")
-    sc = social_cost(inst, alloc)
-    if sc != size(part.m_plus):
-        raise InternalInvariantError(
-            f"social cost {sc} differs from the universally costly item count "
-            f"{size(part.m_plus)}"
-        )
-    ok, violations = is_alpha_efx(inst, alloc, 1)
-    if not ok:
-        raise InternalInvariantError(f"output is not removal-stable: {violations[:3]}")
-
-    verification = None
-    if verify:
-        verification = fairness_report(
-            inst, alloc, 1, include_po=n**m <= PO_SCAN_LIMIT, po_limit=PO_SCAN_LIMIT
-        )
-        if verification.po is False:
-            raise InternalInvariantError("a dominating allocation exists")
-    counters["evals"] = ops.evals
-    return SolveReport(
-        algorithm="additive",
-        allocation=alloc,
-        guarantee=GuaranteeTag.EFX_AND_PO,
-        counters=counters,
-        trace=tr.events,
-        verification=verification,
+    return finish(
+        inst, "additive", GuaranteeTag.EFX_AND_PO, matrix.bundles, ops, tr, counters, verify,
         notes=(
             "every complete allocation costs at least one per universally "
             "costly item; this output meets that bound exactly, which "
@@ -162,4 +132,4 @@ def solve_additive(
     )
 
 
-__all__ = ["ItemPartition", "partition_items", "solve_additive", "PO_SCAN_LIMIT"]
+__all__ = ["ItemPartition", "partition_items", "solve_additive"]

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 from ..costs import CostFunction, residual
 from ..errors import InternalInvariantError, InvalidInputError
-from ..fairness import Allocation, CostMatrix, fairness_report, is_alpha_efx
+from ..fairness import CostMatrix
 from ..instances import Instance
 from ..itemset import ItemSet, full_set, iter_items, lowest, size
 from ..reports import GuaranteeTag, SolveReport
-from .common import OpCounter, Trace, ensure_class
+from .common import OpCounter, Trace, ensure_class, finish
 
 
 @dataclass(frozen=True)
@@ -213,7 +213,6 @@ def solve_cancelable(
     """
     del debug
     ensure_class(inst, "cancelable")
-    n, m = inst.n, inst.m
     ops = OpCounter()
     tr = Trace(trace)
     p1 = phase1(inst, ops=ops, tr=tr)
@@ -222,25 +221,9 @@ def solve_cancelable(
         for fn, base in zip(inst.agents, p1.base_bundles)
     ]
     counters: dict[str, int] = {"phase1_rounds": p1.w}
-    extras = phase2(views, p1.remaining, n, ops=ops, tr=tr, counters=counters)
-
+    extras = phase2(views, p1.remaining, inst.n, ops=ops, tr=tr, counters=counters)
     bundles = [a | b for a, b in zip(p1.base_bundles, extras)]
-    alloc = Allocation.make(n, m, bundles)
-    if not alloc.complete:
-        raise InternalInvariantError("solver left items unallocated")
-    ok, violations = is_alpha_efx(inst, alloc, 1)
-    if not ok:
-        raise InternalInvariantError(f"output is not removal-stable: {violations[:3]}")
-    verification = fairness_report(inst, alloc, 1) if verify else None
-    counters["evals"] = ops.evals
-    return SolveReport(
-        algorithm="cancelable",
-        allocation=alloc,
-        guarantee=GuaranteeTag.EFX,
-        counters=counters,
-        trace=tr.events,
-        verification=verification,
-    )
+    return finish(inst, "cancelable", GuaranteeTag.EFX, bundles, ops, tr, counters, verify)
 
 
 __all__ = ["Phase1Result", "phase1", "phase2", "solve_cancelable"]

@@ -13,18 +13,11 @@ leaving at most n-1 items over.
 from __future__ import annotations
 
 from ..errors import InternalInvariantError
-from ..fairness import (
-    Allocation,
-    CostMatrix,
-    fairness_report,
-    find_cycle_through_edge,
-    is_alpha_ef,
-    tail_scc,
-)
+from ..fairness import CostMatrix, find_cycle_through_edge, tail_scc
 from ..instances import Instance
 from ..itemset import ItemSet, full_set, iter_items, lowest, size
 from ..reports import GuaranteeTag, SolveReport
-from .common import OpCounter, Trace, ensure_class
+from .common import OpCounter, Trace, ensure_class, finish
 
 
 def run_envy_loop(
@@ -147,39 +140,22 @@ def solve_general(
 ) -> SolveReport:
     """Envy-free allocation leaving at most n-1 items unallocated."""
     ensure_class(inst, "general")
-    n, m = inst.n, inst.m
     ops = OpCounter()
     tr = Trace(trace)
     counters: dict[str, int] = {}
-    bundles = [0] * n
+    bundles = [0] * inst.n
     pool = run_envy_loop(
         inst,
         bundles,
-        full_set(m),
+        full_set(inst.m),
         ops=ops,
         tr=tr,
         counters=counters,
         debug=debug,
     )
-    if size(pool) > n - 1:
-        raise InternalInvariantError(
-            f"{size(pool)} items left unallocated, bound is {n - 1}"
-        )
-    alloc = Allocation(n=n, m=m, bundles=tuple(bundles), unallocated=pool)
-    ok, violations = is_alpha_ef(inst, alloc, 1)
-    if not ok:
-        raise InternalInvariantError(f"output is not envy-free: {violations[:3]}")
-    verification = fairness_report(inst, alloc, 1) if verify else None
-    counters["evals"] = ops.evals
     notes = () if pool else ("allocation is complete, nothing was left over",)
-    return SolveReport(
-        algorithm="general",
-        allocation=alloc,
-        guarantee=GuaranteeTag.PARTIAL_EF,
-        counters=counters,
-        trace=tr.events,
-        verification=verification,
-        notes=notes,
+    return finish(
+        inst, "general", GuaranteeTag.PARTIAL_EF, bundles, ops, tr, counters, verify, notes
     )
 
 

@@ -13,12 +13,12 @@ from everywhere, so the single extra unit of cost stays within factor 2.
 from __future__ import annotations
 
 from ..errors import InternalInvariantError
-from ..fairness import Allocation, CostMatrix, fairness_report, is_alpha_ef, is_alpha_efx
+from ..fairness import CostMatrix
 from ..instances import Instance
 from ..itemset import ItemSet, full_set, iter_items, size
 from ..reports import GuaranteeTag, SolveReport
 from .cancelable import phase2
-from .common import OpCounter, Trace, ensure_class
+from .common import OpCounter, Trace, ensure_class, finish
 from .general import run_envy_loop
 
 
@@ -60,14 +60,6 @@ def solve_submodular(
     if size(m1) < n:
         counters["case"] = 1
         bundles = phase2(list(inst.agents), full_set(m), n, ops=ops, tr=tr, counters=counters)
-        alloc = Allocation.make(n, m, bundles)
-        if not alloc.complete:
-            raise InternalInvariantError("solver left items unallocated")
-        ok, violations = is_alpha_efx(inst, alloc, 1)
-        if not ok:
-            raise InternalInvariantError(
-                f"case-1 output is not removal-stable: {violations[:3]}"
-            )
         guarantee = GuaranteeTag.EFX
         notes = ("case 1: fewer universally unit-cost items than agents",)
     else:
@@ -94,10 +86,7 @@ def solve_submodular(
         for k, e in enumerate(leftovers):
             bundles[k] |= 1 << e
             tr.emit("leftover", item=e, agent=k)
-        alloc = Allocation.make(n, m, bundles)
-        if not alloc.complete:
-            raise InternalInvariantError("solver left items unallocated")
-        matrix = CostMatrix(inst.agents, alloc.bundles, ops.evaluate)
+        matrix = CostMatrix(inst.agents, bundles, ops.evaluate)
         for i, row in enumerate(matrix.cost):
             for j, price in enumerate(row):
                 if price < 1:
@@ -113,30 +102,10 @@ def solve_submodular(
                     f"agent {v.i} envies {v.j} by {own - other}, expected "
                     "exactly the one leftover unit"
                 )
-        ok, violations = is_alpha_ef(inst, alloc, 2)
-        if not ok:
-            raise InternalInvariantError(
-                f"case-2 output fails the factor-2 envy check: {violations[:3]}"
-            )
         guarantee = GuaranteeTag.TWO_EF
         notes = ("case 2: every agent seeded one universally unit-cost item",)
 
-    ok, violations = is_alpha_efx(inst, alloc, 2)
-    if not ok:
-        raise InternalInvariantError(
-            f"output fails the factor-2 removal-stability check: {violations[:3]}"
-        )
-    verification = fairness_report(inst, alloc, 2) if verify else None
-    counters["evals"] = ops.evals
-    return SolveReport(
-        algorithm="submodular",
-        allocation=alloc,
-        guarantee=guarantee,
-        counters=counters,
-        trace=tr.events,
-        verification=verification,
-        notes=notes,
-    )
+    return finish(inst, "submodular", guarantee, bundles, ops, tr, counters, verify, notes)
 
 
 __all__ = ["compute_m1", "solve_submodular"]

@@ -15,7 +15,16 @@ import random
 import numpy as np
 
 from chorefair.costs import CostFunction, Table, value_table
+from chorefair.instances import Instance
 from chorefair.itemset import iter_items
+
+
+def cap7_pair() -> Instance:
+    """Two min(|S|, 7) tables on 13 items, declared additive although they
+    are not: past the exhaustive class gate, and a 7/6 split of them meets
+    the additive social-cost floor without being Pareto-optimal."""
+    cap7 = Table(m=13, values=tuple(min(s.bit_count(), 7) for s in range(1 << 13)))
+    return Instance(n=2, m=13, agents=(cap7, cap7), declared_class="additive")
 
 
 def random_binary_table(m: int, rng: random.Random) -> Table:

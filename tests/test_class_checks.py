@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from chorefair.costs import (
@@ -14,6 +15,7 @@ from chorefair.costs import (
     is_binary_marginal,
     sample_class,
 )
+from chorefair.costs import _random_subset
 from chorefair.errors import UnsupportedSizeError
 from chorefair.instances import builtin
 from chorefair.itemset import size
@@ -150,6 +152,19 @@ def test_sampling_finds_dense_witnesses():
     sampled = sample_class(Cardinality(cap=1, m=6), trials=5000, seed=0)
     assert not sampled.additive
     assert sampled.cancelable and sampled.submodular
+
+
+def test_sampled_subsets_span_any_ground_set():
+    # up to 62 items a subset is one draw, as it always was
+    old, new = np.random.default_rng(3), np.random.default_rng(3)
+    for _ in range(5):
+        assert _random_subset(new, 40) == int(old.integers(0, 1 << 40))
+    rng = np.random.default_rng(0)
+    masks = [_random_subset(rng, 200) for _ in range(20)]
+    assert all(0 <= s < 1 << 200 for s in masks)
+    assert any(s >> 124 for s in masks)
+    sampled = sample_class(Cardinality(cap=3, m=200), trials=200)
+    assert sampled.cancelable and not sampled.additive
 
 
 def test_check_class_size_cap():

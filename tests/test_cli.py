@@ -3,8 +3,9 @@ import json
 import pytest
 
 from chorefair.cli import main
-from chorefair.costs import Table
+from chorefair.costs import Cardinality, Table
 from chorefair.instances import Instance, builtin, load_instance, serialize_instance
+from helpers import cap7_pair
 
 
 def write_instance(tmp_path, inst, name="inst.json"):
@@ -51,6 +52,14 @@ class TestSolve:
         assert "not PO" in payload["notes"]
         sizes = sorted(len(b) for b in payload["allocation"]["bundles"])
         assert sizes == [5, 5]
+
+    def test_table_declared_additive_past_the_exhaustive_gate(self, capsys, tmp_path):
+        path = write_instance(tmp_path, cap7_pair())
+        code, out, err = run(capsys, "solve", "--input", path, "--verify", "--json")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: agents[0] is declared 'additive' but is not additive")
+        assert err.count("\n") == 1
 
     def test_solve_writes_allocation_file(self, capsys, tmp_path):
         out_path = tmp_path / "alloc.json"
@@ -194,6 +203,20 @@ class TestCheckClass:
         assert "witness against additive" in out
         assert "consistent" in out
 
+    @pytest.mark.parametrize("m", [64, 200])
+    def test_sampled_on_wide_ground_sets(self, capsys, tmp_path, m):
+        inst = Instance(
+            n=2,
+            m=m,
+            agents=(Cardinality(cap=3, m=m), Cardinality(cap=5, m=m)),
+            declared_class="cancelable",
+        )
+        path = write_instance(tmp_path, inst)
+        code, payload, err = run_json(capsys, "check-class", "--input", path)
+        assert code == 0
+        assert payload["consistent"] is True
+        assert {a["method"] for a in payload["agents"]} == {"sampled"}
+
     def test_contradicted_declaration(self, capsys, tmp_path):
         # an explicit table may declare itself additive, but these values
         # are min(|S|, 2) and the audit catches the lie
@@ -299,6 +322,16 @@ class TestGenerate:
             "--params", "{cap}",
         )
         assert code == 2
+
+    @pytest.mark.parametrize("params", ["[1]", '{"k": "a"}', '{"k": 1.5}'])
+    def test_params_must_be_an_object_of_integers(self, capsys, params):
+        code, out, err = run(
+            capsys, "generate", "--family", "threshold", "-n", "2", "-m", "4",
+            "--params", params,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: --params: expected a JSON object with integer values\n"
 
     def test_missing_dimensions(self, capsys):
         code, out, err = run(capsys, "generate", "--family", "table")

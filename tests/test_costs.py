@@ -132,6 +132,9 @@ def test_residual_view():
     assert evaluate(view, 0b0110) == 1
     with pytest.raises(InvalidInputError):
         evaluate(view, 0b0001)
+    # the range is checked once, by evaluate, against the view's own m
+    with pytest.raises(InvalidInputError):
+        evaluate(view, 0b10000)
 
 
 @given(st.integers(min_value=0, max_value=(1 << 6) - 1), st.integers(0, (1 << 6) - 1))

@@ -14,7 +14,6 @@ from chorefair.fairness import (
     Violation,
     allocation_from_rank,
     build_envy_graph,
-    fairness_report,
     find_cycle_through_edge,
     is_alpha_ef,
     is_alpha_efx,
@@ -276,19 +275,3 @@ def test_strongly_connected_components_partition():
     edges = {0: [1], 1: [0], 2: [1]}
     comps = strongly_connected_components(3, lambda v: edges.get(v, []))
     assert sorted(sorted(c) for c in comps) == [[0, 1], [2]]
-
-
-def test_fairness_report_aggregates():
-    inst = ternary()
-    alloc = Allocation(n=2, m=3, bundles=(0b101, 0b010))
-    report = fairness_report(inst, alloc, 1, include_po=True)
-    assert report.alpha == Fraction(1)
-    assert not report.ef and not report.efx
-    assert report.po is True
-    assert report.social_cost == 2 and report.complete
-    assert any(v.kind == "efx" for v in report.violations)
-    obj = report.to_json()
-    assert obj["alpha"] == "1/1" and obj["po"] is True
-    skipped = fairness_report(inst, alloc, 2)
-    assert skipped.po is None
-    assert skipped.ef and skipped.efx

@@ -7,6 +7,7 @@ from chorefair.instances import Instance, builtin, generate
 from chorefair.itemset import size
 from chorefair.reports import GuaranteeTag
 from chorefair.solvers import partition_items, solve_additive
+from helpers import cap7_pair
 
 
 def pair(costs_a, costs_b):
@@ -32,7 +33,23 @@ def test_worked_example():
     assert report.guarantee is GuaranteeTag.EFX_AND_PO
     assert report.allocation.complete
     assert report.verification is not None
-    assert report.verification.efx and report.verification.po is True
+    assert report.verification.passed
+    assert report.verification.checks == {
+        "complete": True,
+        "efx": True,
+        "minimal-social-cost": True,
+        "po": True,
+    }
+
+
+def test_table_declared_additive_past_the_exhaustive_gate_is_refused():
+    # a 7/6 split would be tagged efx+po although handing everything to
+    # one agent costs 7 in total against 13
+    with pytest.raises(WrongClassError, match="is not additive"):
+        solve_additive(cap7_pair(), verify=True)
+    ones = Table(m=13, values=tuple(s.bit_count() for s in range(1 << 13)))
+    inst = Instance(n=2, m=13, agents=(ones, ones), declared_class="additive")
+    assert solve_additive(inst).guarantee is GuaranteeTag.EFX_AND_PO
 
 
 def test_reassignment_regression():
