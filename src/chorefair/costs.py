@@ -221,20 +221,16 @@ class Table:
         if values and values[0] != 0:
             raise InvalidInputError(f"table value for the empty set must be 0, got {values[0]}")
         # Dropping any single element must not increase the value; steps of
-        # more than 1 are legal but mark the table as non-binary.
-        binary = True
-        for mask in range(len(values)):
-            rest = mask
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                step = values[mask] - values[mask ^ low]
-                if step < 0:
-                    raise InvalidInputError(
-                        f"table is not monotone: value({mask ^ low}) > value({mask})"
-                    )
-                if step > 1:
-                    binary = False
+        # more than 1 are legal but mark the table as non-binary.  Values
+        # too large for int64 differences are compared as Python ints.
+        small = -(1 << 62) <= min(values) and max(values) < 1 << 62
+        v = np.array(values, dtype=np.int64 if small else object)
+        binary, monotone = _check_marginals(self.m, v, {})
+        if not monotone:
+            mask, e = _first_rise(self.m, v)
+            raise InvalidInputError(
+                f"table is not monotone: value({mask ^ (1 << e)}) > value({mask})"
+            )
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "binary_marginal", binary)
 
@@ -491,6 +487,22 @@ def _check_marginals(m: int, v: np.ndarray, witnesses: dict[str, Witness]) -> tu
         if not binary and not monotone:
             break
     return binary, monotone
+
+
+def _first_rise(m: int, v: np.ndarray) -> tuple[int, int]:
+    """The lowest mask S with some e in S and c(S - e) > c(S), with the
+    lowest such e; ``v`` must have one."""
+    idx = np.arange(1 << m, dtype=np.int64)
+    first: tuple[int, int] | None = None
+    for e in range(m):
+        bit = 1 << e
+        hi = idx[(idx & bit) != 0]
+        bad = np.flatnonzero(v[hi] < v[hi ^ bit])
+        if bad.size and (first is None or int(hi[bad[0]]) < first[0]):
+            first = (int(hi[bad[0]]), e)
+    if first is None:
+        raise InternalInvariantError("monotonicity failure without a witness")
+    return first
 
 
 def _check_additive(m: int, v: np.ndarray, witnesses: dict[str, Witness]) -> bool:

@@ -155,7 +155,8 @@ class CostMatrix:
 
     ``cost[i][j]`` is c_i(X_j).  ``worst_drop(i)`` is max over e in X_i of
     c_i(X_i - e), the highest price agent i can be left with after giving up
-    one item; it is queried on first read and cached until X_i changes.
+    one item; it is queried on first read and cached until X_i changes,
+    unless ``update`` can derive it (below).
     Envy-freeness, removal stability and the equality envy graph are all
     read off these numbers.  ``update`` re-prices the one bundle that
     changed, so a solver that moves a few items per step pays n queries per
@@ -163,6 +164,14 @@ class CostMatrix:
 
     ``query(fn, mask)`` prices one bundle for one agent: solvers pass their
     counting ``OpCounter.evaluate``, checkers default to ``evaluate``.
+
+    Every cost function is taken to be monotone (``costs`` builds each
+    descriptor kind that way and ``Table`` refuses anything else), and
+    ``update`` relies on it: when bundle j grows to a strict superset and
+    its owner's price stays the same, the worst drop is that price, with
+    no query.  Dropping an added item leaves a superset of the old bundle,
+    priced at least the old (equal) price, and no drop can exceed the
+    bundle's own price.
     """
 
     __slots__ = ("funcs", "bundles", "cost", "_query", "_drop")
@@ -184,11 +193,18 @@ class CostMatrix:
         self._drop: list[int | None] = [None] * len(self.bundles)
 
     def update(self, j: int, bundle: ItemSet) -> None:
-        """Replace bundle j and re-price it for every agent."""
+        """Replace bundle j and re-price it for every agent.
+
+        The worst drop of j is derived when the bundle grew and its
+        owner's price did not (see the class docstring); otherwise it is
+        marked stale and re-queried on first read.
+        """
+        old, price = self.bundles[j], self.cost[j][j]
         self.bundles[j] = bundle
         for row, fn in zip(self.cost, self.funcs):
             row[j] = self._query(fn, bundle)
-        self._drop[j] = None
+        grew = bundle != old and bundle & old == old
+        self._drop[j] = price if grew and self.cost[j][j] == price else None
 
     def _item_drops(self, i: int) -> list[tuple[int, int]]:
         fn, mine = self.funcs[i], self.bundles[i]

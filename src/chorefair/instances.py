@@ -116,7 +116,7 @@ class Instance:
                 raise InvalidInputError(
                     f"agents[{i}] has ground-set size {fn.m}, instance has m={self.m}"
                 )
-        if self.declared_class not in CLASS_RANK:
+        if self.declared_class not in CLASSES:
             raise InvalidInputError(
                 f"declared_class must be one of {CLASSES}, got {self.declared_class!r}"
             )

@@ -86,6 +86,7 @@ def phase2(
     ops: OpCounter | None = None,
     tr: Trace | None = None,
     counters: dict[str, int] | None = None,
+    debug: bool = False,
 ) -> list[ItemSet]:
     """Allocate ``remaining`` under the per-agent cost views.
 
@@ -97,7 +98,9 @@ def phase2(
     the item, or two bundles swap.  After every iteration each view prices
     its own bundle at most 1 and the bundles are removal-stable under the
     views; both facts are re-checked every iteration and any failure
-    aborts, flagging an input outside the supported classes.
+    aborts, flagging an input outside the supported classes.  ``debug``
+    also checks the maintained cost matrix, worst drops included, against
+    a fresh build after every iteration.
     """
     ops = ops or OpCounter()
     tr = tr or Trace(False)
@@ -194,6 +197,8 @@ def phase2(
                 f"removal stability under the residual views broke after "
                 f"iteration {counters['iterations']}"
             )
+        if debug:
+            matrix.check_against_rebuild()
     return bundles
 
 
@@ -207,11 +212,10 @@ def solve_cancelable(
     """Complete removal-stable allocation for a declared-cancelable instance.
 
     The output is re-checked against the original cost functions on every
-    run.  ``debug`` is accepted for interface symmetry; the per-iteration
-    invariants are always on because they double as the runtime guard
-    against mis-declared inputs.
+    run.  The per-iteration invariants of phase 2 are always on because
+    they double as the runtime guard against mis-declared inputs;
+    ``debug`` adds phase 2's cost-matrix cross-check.
     """
-    del debug
     ensure_class(inst, "cancelable")
     ops = OpCounter()
     tr = Trace(trace)
@@ -221,7 +225,9 @@ def solve_cancelable(
         for fn, base in zip(inst.agents, p1.base_bundles)
     ]
     counters: dict[str, int] = {"phase1_rounds": p1.w}
-    extras = phase2(views, p1.remaining, inst.n, ops=ops, tr=tr, counters=counters)
+    extras = phase2(
+        views, p1.remaining, inst.n, ops=ops, tr=tr, counters=counters, debug=debug
+    )
     bundles = [a | b for a, b in zip(p1.base_bundles, extras)]
     return finish(inst, "cancelable", GuaranteeTag.EFX, bundles, ops, tr, counters, verify)
 

@@ -7,8 +7,10 @@ from ..costs import (
     CostFunction,
     Table,
     _check_additive,
-    check_class,
+    _check_cancelable,
+    _check_submodular,
     evaluate,
+    is_binary_marginal,
     marginal,
     value_table,
 )
@@ -21,6 +23,15 @@ from ..reports import CHECKS, TAG_CHECKS, GuaranteeTag, SolveReport, certify
 # Ground sets at most this large get their declared class verified
 # exhaustively before a solver trusts it.
 VERIFY_MAX_M = 12
+
+
+# The exhaustive test of each class a solver can require; "general" (binary
+# marginals) needs none beyond the marginal test every agent gets.
+_CLASS_CHECKS = {
+    "additive": _check_additive,
+    "cancelable": _check_cancelable,
+    "submodular": _check_submodular,
+}
 
 
 def ensure_class(inst: Instance, required: str) -> None:
@@ -40,32 +51,20 @@ def ensure_class(inst: Instance, required: str) -> None:
             f"instance is declared {inst.declared_class!r}, solver requires "
             f"{required!r} or narrower"
         )
+    exhaustive = inst.m <= VERIFY_MAX_M
     for i, fn in enumerate(inst.agents):
-        if kind_guarantees(fn, required):
+        if kind_guarantees(fn, required) or not (
+            exhaustive or (required == "additive" and isinstance(fn, Table))
+        ):
             continue
-        if inst.m > VERIFY_MAX_M:
-            witnesses: dict = {}
-            if required == "additive" and isinstance(fn, Table) and not (
-                fn.binary_marginal and _check_additive(fn.m, value_table(fn), witnesses)
-            ):
-                raise WrongClassError(
-                    f"agents[{i}] is declared {inst.declared_class!r} but is not "
-                    f"additive (witness: {witnesses.get('additive')})"
-                )
-            continue
-        report = check_class(fn)
-        if not report.binary_marginal:
+        if not is_binary_marginal(fn):
             raise WrongClassError(f"agents[{i}] has marginals outside {{0, 1}}")
-        ok = {
-            "additive": report.additive,
-            "cancelable": report.cancelable,
-            "submodular": report.submodular,
-            "general": True,
-        }[required]
-        if not ok:
+        check = _CLASS_CHECKS.get(required)
+        witnesses: dict = {}
+        if check is not None and not check(fn.m, value_table(fn), witnesses):
             raise WrongClassError(
                 f"agents[{i}] is declared {inst.declared_class!r} but is not "
-                f"{required} (witness: {report.witnesses.get(required)})"
+                f"{required} (witness: {witnesses.get(required)})"
             )
 
 

@@ -40,6 +40,14 @@ def run_envy_loop(
     out.  The cost matrix behind the equality graph is re-priced only for
     the bundles an iteration changed.  ``debug`` re-checks envy-freeness
     and the maintained matrix against a fresh build after every iteration.
+
+    Marginal queries are memoised per call: ``unit[(i, B)]`` holds the
+    items whose marginal for agent i on bundle B was asked and came back
+    exactly 1.  The answer depends only on the agent, the bundle and the
+    item, so an entry stays exact when bundles rotate between agents and
+    as the pool shrinks.  Every rule skips the items it lists, and a zero
+    answer places its item, changing the bundle, so with binary marginals
+    each (agent, bundle, item) marginal is queried once.
     """
     ops = ops or OpCounter()
     tr = tr or Trace(False)
@@ -48,6 +56,25 @@ def run_envy_loop(
         counters.setdefault(key, 0)
     n, m = inst.n, inst.m
     matrix = CostMatrix(inst.agents, bundles, ops.evaluate)
+    unit: dict[tuple[int, ItemSet], ItemSet] = {}
+
+    def lowest_free(
+        i: int, bundle: ItemSet, pool: ItemSet, zero_only: bool = True
+    ) -> int | None:
+        """Lowest pool item free for agent i on ``bundle`` (marginal 0; with
+        ``zero_only`` off, any marginal but 1), or None."""
+        fn, key = inst.agents[i], (i, bundle)
+        known = unit.get(key, 0)
+        found = None
+        for e in iter_items(pool & ~known):
+            step = ops.marginal(fn, e, bundle)
+            if step == 1:
+                known |= 1 << e
+            elif step == 0 or not zero_only:
+                found = e
+                break
+        unit[key] = known
+        return found
 
     while pool:
         counters["iterations"] += 1
@@ -58,41 +85,34 @@ def run_envy_loop(
         graph = matrix.graph()
 
         touched: list[int] = []
-        fired = False
-        for i, fn in enumerate(inst.agents):
-            for e in iter_items(pool):
-                if ops.marginal(fn, e, bundles[i]) == 0:
-                    bundles[i] |= 1 << e
-                    pool &= ~(1 << e)
-                    counters["zero_placements"] += 1
-                    tr.emit("zero-marginal", item=e, agent=i)
-                    touched = [i]
-                    fired = True
-                    break
-            if fired:
+        for i in range(n):
+            e = lowest_free(i, bundles[i], pool)
+            if e is not None:
+                bundles[i] |= 1 << e
+                pool &= ~(1 << e)
+                counters["zero_placements"] += 1
+                tr.emit("zero-marginal", item=e, agent=i)
+                touched = [i]
                 break
 
-        if not fired:
+        if not touched:
             for i, j in sorted(graph.edges):
                 cycle = find_cycle_through_edge(graph, i, j)
                 if cycle is None:
                     continue
-                for e in iter_items(pool):
-                    if ops.marginal(inst.agents[i], e, bundles[j]) == 0:
-                        old = [bundles[v] for v in cycle]
-                        for idx, u in enumerate(cycle):
-                            bundles[u] = old[(idx + 1) % len(cycle)]
-                        bundles[i] |= 1 << e
-                        pool &= ~(1 << e)
-                        counters["rotations"] += 1
-                        tr.emit("rotate", cycle=cycle, item=e, agent=i)
-                        touched = list(cycle)
-                        fired = True
-                        break
-                if fired:
+                e = lowest_free(i, bundles[j], pool)
+                if e is not None:
+                    old = [bundles[v] for v in cycle]
+                    for idx, u in enumerate(cycle):
+                        bundles[u] = old[(idx + 1) % len(cycle)]
+                    bundles[i] |= 1 << e
+                    pool &= ~(1 << e)
+                    counters["rotations"] += 1
+                    tr.emit("rotate", cycle=cycle, item=e, agent=i)
+                    touched = list(cycle)
                     break
 
-        if not fired:
+        if not touched:
             component = sorted(tail_scc(graph))
             if size(pool) < len(component):
                 tr.emit("stop", unallocated=list(iter_items(pool)), component=component)
@@ -104,12 +124,12 @@ def run_envy_loop(
                 for j in component:
                     if i != j and not graph.has_edge(i, j):
                         continue
-                    for e in iter_items(pool):
-                        if ops.marginal(inst.agents[i], e, bundles[j]) != 1:
-                            raise InternalInvariantError(
-                                f"batch hand-out while item {e} is still free "
-                                f"for agent {i} on bundle {j}"
-                            )
+                    e = lowest_free(i, bundles[j], pool, zero_only=False)
+                    if e is not None:
+                        raise InternalInvariantError(
+                            f"batch hand-out while item {e} is still free "
+                            f"for agent {i} on bundle {j}"
+                        )
             for i in component:
                 e = lowest(pool)
                 bundles[i] |= 1 << e

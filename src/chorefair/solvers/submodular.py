@@ -59,7 +59,9 @@ def solve_submodular(
 
     if size(m1) < n:
         counters["case"] = 1
-        bundles = phase2(list(inst.agents), full_set(m), n, ops=ops, tr=tr, counters=counters)
+        bundles = phase2(
+            list(inst.agents), full_set(m), n, ops=ops, tr=tr, counters=counters, debug=debug
+        )
         guarantee = GuaranteeTag.EFX
         notes = ("case 1: fewer universally unit-cost items than agents",)
     else:

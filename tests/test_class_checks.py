@@ -16,10 +16,11 @@ from chorefair.costs import (
     sample_class,
 )
 from chorefair.costs import _random_subset
-from chorefair.errors import UnsupportedSizeError
-from chorefair.instances import builtin
+from chorefair.errors import UnsupportedSizeError, WrongClassError
+from chorefair.instances import CLASSES, Instance, builtin, kind_guarantees
 from chorefair.itemset import size
-from helpers import random_binary_table
+from chorefair.solvers import ensure_class
+from helpers import random_binary_table, random_monotone_table
 
 
 def test_additive_function_has_every_structure_flag():
@@ -165,6 +166,43 @@ def test_sampled_subsets_span_any_ground_set():
     assert any(s >> 124 for s in masks)
     sampled = sample_class(Cardinality(cap=3, m=200), trials=200)
     assert sampled.cancelable and not sampled.additive
+
+
+def _gate_by_full_report(inst, required):
+    """The class gate's refusal as a full ``check_class`` report words it,
+    or None; the gate itself decides only what it reads."""
+    for i, fn in enumerate(inst.agents):
+        if kind_guarantees(fn, required):
+            continue
+        report = check_class(fn)
+        if not report.binary_marginal:
+            return f"agents[{i}] has marginals outside {{0, 1}}"
+        if required != "general" and not report.flags()[required]:
+            return (
+                f"agents[{i}] is declared {inst.declared_class!r} but is not "
+                f"{required} (witness: {report.witnesses.get(required)})"
+            )
+    return None
+
+
+def test_class_gate_matches_full_reports():
+    rng = random.Random(11)
+    refused = set()
+    for trial in range(120):
+        m = 1 + trial % 6
+        make = random_binary_table if trial % 3 else random_monotone_table
+        additive = Additive(tuple(rng.randint(0, 1) for _ in range(m)))
+        agents = (make(m, rng), make(m, rng), additive)
+        inst = Instance(n=3, m=m, agents=agents, declared_class="additive")
+        for required in CLASSES:
+            try:
+                ensure_class(inst, required)
+                got = None
+            except WrongClassError as exc:
+                got = str(exc)
+                refused.add(required)
+            assert got == _gate_by_full_report(inst, required)
+    assert refused == set(CLASSES)
 
 
 def test_check_class_size_cap():

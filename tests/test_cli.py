@@ -1,6 +1,12 @@
+import io
 import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chorefair.cli import main
 from chorefair.costs import Cardinality, Table
@@ -374,6 +380,19 @@ class TestPlumbing:
         assert code == 2
         assert "error:" in err
 
+    def test_unhashable_declared_class(self, capsys, tmp_path):
+        path = tmp_path / "inst.json"
+        path.write_text(
+            '{"n": 1, "m": 0, "declared_class": [], '
+            '"agents": [{"type": "additive", "costs": []}]}'
+        )
+        code, out, err = run(capsys, "solve", "--input", str(path))
+        assert code == 2
+        assert err.splitlines() == [
+            "error: instance: declared_class must be one of ('additive', "
+            "'cancelable', 'submodular', 'general'), got []"
+        ]
+
     def test_no_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])
@@ -383,3 +402,162 @@ class TestPlumbing:
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--builtin", "mystery"])
         assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# fuzzed inputs: every run ends in 0, 1 or 2, and a failure says so in one
+# line on stderr
+# ---------------------------------------------------------------------------
+
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.floats(allow_nan=False, allow_infinity=False, width=16),
+    st.lists(st.integers(-1, 3), max_size=3),
+    st.integers(-3, 8),
+)
+
+
+def _monotone(m, steps):
+    vals = [0] * (1 << m)
+    for mask in range(1, 1 << m):
+        vals[mask] = max(vals[mask ^ (1 << e)] for e in range(m) if mask >> e & 1)
+        vals[mask] += steps[mask]
+    return vals
+
+
+# rank of the narrowest class each descriptor kind allows a declaration of
+_KIND_CLASS = {"additive": 0, "capped_additive": 1, "cardinality": 1, "partition_matroid": 2}
+
+
+@st.composite
+def _descriptor(draw, m):
+    kind = draw(
+        st.sampled_from(
+            ("additive", "capped_additive", "cardinality", "partition_matroid",
+             "threshold", "table")
+        )
+    )
+    bits = st.lists(st.integers(0, 1), min_size=m, max_size=m)
+    small = st.integers(0, m + 1)
+    if kind in ("additive", "capped_additive"):
+        desc = {"type": kind, "costs": draw(bits)}
+        if kind == "capped_additive":
+            desc["cap"] = draw(small)
+    elif kind == "cardinality":
+        desc = {"type": kind, "cap": draw(small)}
+    elif kind == "threshold":
+        desc = {"type": kind, "k": draw(small)}
+    elif kind == "partition_matroid":
+        owner = draw(st.lists(st.integers(0, 2), min_size=m, max_size=m))
+        groups = [[e for e in range(m) if owner[e] == g] for g in sorted(set(owner))]
+        desc = {
+            "type": kind,
+            "groups": groups,
+            "capacities": draw(st.lists(small, min_size=len(groups), max_size=len(groups))),
+        }
+    else:
+        steps = draw(st.lists(st.integers(0, 2), min_size=1 << m, max_size=1 << m))
+        desc = {"type": kind, "m": m, "values": _monotone(m, steps)}
+    if draw(st.integers(0, 19)) == 19:  # break one field
+        desc[draw(st.sampled_from(sorted(desc)))] = draw(_JUNK)
+    return desc
+
+
+@st.composite
+def _input_texts(draw):
+    """An instance document and an allocation document for it, each
+    sometimes damaged."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(0, 5))
+    agents = [draw(_descriptor(m)) for _ in range(n)]
+    # mostly the narrowest class the kinds allow, else any name at all
+    fit = max((_KIND_CLASS.get(str(a["type"]), 3) for a in agents), default=0)
+    names = ("additive", "cancelable", "submodular", "general")
+    declared = draw(st.sampled_from((names[fit],) * 3 + names + ("other",)))
+    doc = {"n": n, "m": m, "declared_class": declared, "agents": agents}
+    damage = draw(st.integers(0, 19))  # 0-15: none
+    if damage == 16:
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    elif damage == 17:
+        doc[draw(st.sampled_from(sorted(doc)))] = draw(_JUNK)
+    elif damage == 18:
+        doc = draw(_JUNK)
+    text = json.dumps(doc)
+    if damage == 19:
+        text = text[: draw(st.integers(0, len(text)))]
+
+    owner = draw(st.lists(st.integers(-1, n - 1), min_size=m, max_size=m))
+    alloc = {
+        "bundles": [[e for e in range(m) if owner[e] == i] for i in range(n)],
+        "unallocated": [e for e in range(m) if owner[e] == -1],
+    }
+    damage = draw(st.integers(0, 9))  # 0-7: none
+    if damage == 8:
+        alloc = draw(_JUNK)
+    elif damage == 9:
+        alloc["bundles"].append([draw(st.integers(-1, m))])
+    return text, json.dumps(alloc)
+
+
+_FLAGS = {
+    "solve": st.tuples(
+        st.sampled_from(
+            ([], ["--algorithm", "auto"], ["--algorithm", "additive"],
+             ["--algorithm", "cancelable"], ["--algorithm", "submodular"],
+             ["--algorithm", "general"])
+        ),
+        st.lists(st.sampled_from(["--verify", "--json", "--debug"]), unique=True),
+    ),
+    "check-class": st.tuples(st.lists(st.just("--json"), max_size=1)),
+    "enumerate": st.tuples(
+        st.sampled_from(["efx", "frontier", "efx-po", "min-sc", "all", "efx-exists"]).map(
+            lambda r: ["--report", r]
+        ),
+        st.integers(-2, 400).map(lambda k: ["--limit", str(k)]),
+        st.lists(st.sampled_from(["--json", "--jobs=1"]), unique=True),
+    ),
+    "verify": st.tuples(
+        st.sampled_from(
+            ["ef,efx", "po", "social-cost", "alpha-ef:3/2", "alpha-efx:0", "alpha-ef:1/0",
+             "bogus", ""]
+        ).map(lambda c: ["--criteria", c]),
+        st.lists(st.just("--json"), max_size=1),
+    ),
+}
+
+
+@settings(max_examples=150)
+@given(
+    st.sampled_from(sorted(_FLAGS)).flatmap(
+        lambda sub: st.tuples(st.just(sub), _FLAGS[sub])
+    ),
+    _input_texts(),
+)
+def test_fuzzed_inputs_end_in_a_known_exit_code(command, texts):
+    sub, flag_groups = command
+    instance_text, allocation_text = texts
+    with tempfile.TemporaryDirectory() as tmp:
+        inst_path = os.path.join(tmp, "inst.json")
+        alloc_path = os.path.join(tmp, "alloc.json")
+        with open(inst_path, "w", encoding="utf-8") as fh:
+            fh.write(instance_text)
+        with open(alloc_path, "w", encoding="utf-8") as fh:
+            fh.write(allocation_text)
+        argv = [sub, "--input", inst_path]
+        if sub == "verify":
+            argv += ["--allocation", alloc_path]
+        for group in flag_groups:
+            argv += group
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert len(lines) == 1
+    elif code == 1:
+        # a failed verify reports on stdout; a failed solve --verify names
+        # its failed check on stderr
+        assert len(lines) <= 1

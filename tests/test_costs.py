@@ -114,6 +114,67 @@ def test_table_validation():
         Table(m=21, values=(0,) * (1 << 21))
 
 
+def _loop_verdict(values):
+    """What a Table on ``values`` must report, by a plain walk over every
+    (mask, item) pair in ascending order: its error message, or its
+    binary-marginal flag."""
+    for mask, v in enumerate(values):
+        if not isinstance(v, int) or isinstance(v, bool):
+            return f"table value at mask {mask} is not an integer: {v!r}"
+    if values[0] != 0:
+        return f"table value for the empty set must be 0, got {values[0]}"
+    binary = True
+    for mask in range(len(values)):
+        for e in iter_items(mask):
+            step = values[mask] - values[mask ^ (1 << e)]
+            if step < 0:
+                return f"table is not monotone: value({mask ^ (1 << e)}) > value({mask})"
+            binary = binary and step <= 1
+    return binary
+
+
+def _table_verdict(m, values):
+    try:
+        return Table(m=m, values=values).binary_marginal
+    except InvalidInputError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "m, values",
+    [
+        # dropping item 1 from 0b110 raises the value, a lower mask than
+        # item 0's first such mask, 0b111
+        (3, (0, 1, 1, 1, 2, 2, 1, 0)),
+        # both items of the first bad mask 0b11 qualify: the lower is named
+        (2, (0, 2, 2, 1)),
+        (3, (0, 1, 1, 0, 1, 0, 1, 2)),
+        (1, (0, -1)),
+        (2, (0, 1, 3, 5)),
+        # values past the int64 range
+        (2, (0, 10**30, 1, 10**30 - 1)),
+        (2, (0, 10**30, 1, 10**30 + 1)),
+        (2, (0, 1, 2, 1.0)),
+        (2, (0, 1, True, 1)),
+        (1, (3, 4)),
+    ],
+)
+def test_table_validation_messages_follow_mask_order(m, values):
+    assert _table_verdict(m, values) == _loop_verdict(values)
+
+
+@given(
+    st.integers(min_value=0, max_value=5).flatmap(
+        lambda m: st.lists(
+            st.integers(min_value=-1, max_value=4), min_size=1 << m, max_size=1 << m
+        ).map(lambda v: (m, (0, *v[1:])))
+    )
+)
+def test_table_validation_matches_the_loop_on_random_values(case):
+    m, values = case
+    assert _table_verdict(m, values) == _loop_verdict(values)
+
+
 def test_evaluate_validates_range():
     fn = Additive((1, 1))
     with pytest.raises(InvalidInputError):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chorefair.costs import Additive, Threshold, evaluate
+from chorefair.costs import Additive, PartitionMatroidRank, Threshold, evaluate
 from chorefair.errors import InternalInvariantError, InvalidInputError, UnsupportedSizeError
 from chorefair.fairness import (
     Allocation,
@@ -23,6 +23,7 @@ from chorefair.fairness import (
     tail_scc,
 )
 from chorefair.instances import Instance, builtin
+from helpers import random_monotone_table
 
 
 def ternary():
@@ -161,26 +162,49 @@ def _naive_is_efx(funcs, bundles):
     return True
 
 
+def _random_cost_function(m, rng):
+    """One of the four shapes a matrix sees: additive, threshold, an
+    explicit monotone table (marginals up to 2) or a partition matroid."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Additive(tuple(rng.randint(0, 1) for _ in range(m)))
+    if kind == 1:
+        return Threshold(k=rng.randint(0, m), m=m)
+    if kind == 2:
+        return random_monotone_table(m, rng, steps=(0, 0, 1, 2))
+    items = list(range(m))
+    rng.shuffle(items)
+    cuts = sorted(rng.sample(range(1, m), rng.randint(0, m - 1))) if m > 1 else []
+    groups = [tuple(items[a:b]) for a, b in zip([0, *cuts], [*cuts, m]) if b > a]
+    return PartitionMatroidRank(tuple(groups), tuple(rng.randint(0, 3) for _ in groups))
+
+
 @given(
     st.integers(min_value=1, max_value=4),
     st.integers(min_value=0, max_value=7),
     st.integers(min_value=0, max_value=2**32 - 1),
-    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 7)), max_size=12),
+    st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 7), st.integers(0, 3)), max_size=12
+    ),
 )
 def test_cost_matrix_updates_match_fresh_build(n, m, seed, moves):
     rng = random.Random(seed)
-    funcs = [
-        Additive(tuple(rng.randint(0, 1) for _ in range(m)))
-        if rng.random() < 0.5
-        else Threshold(k=rng.randint(0, m), m=m)
-        for _ in range(n)
-    ]
+    funcs = [_random_cost_function(m, rng) for _ in range(n)]
     owners = [rng.randrange(n + 1) for _ in range(m)]  # n means unallocated
     bundles = [sum(1 << e for e, o in enumerate(owners) if o == i) for i in range(n)]
     matrix = CostMatrix(funcs, bundles)
-    for agent, item in moves:
+    for agent, item, width in moves:
         agent %= n
-        if item < m:
+        if item >= m:
+            pass
+        elif width:
+            # agent takes every unallocated item in item .. item + width - 1
+            grab = [e for e in range(item, min(item + width, m)) if owners[e] == n]
+            for e in grab:
+                owners[e] = agent
+                bundles[agent] |= 1 << e
+            matrix.update(agent, bundles[agent])
+        else:
             # move item to agent's bundle, or back to the pool if she has it
             holder = owners[item]
             if holder < n:

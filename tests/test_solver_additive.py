@@ -50,6 +50,10 @@ def test_table_declared_additive_past_the_exhaustive_gate_is_refused():
     ones = Table(m=13, values=tuple(s.bit_count() for s in range(1 << 13)))
     inst = Instance(n=2, m=13, agents=(ones, ones), declared_class="additive")
     assert solve_additive(inst).guarantee is GuaranteeTag.EFX_AND_PO
+    doubled = Table(m=13, values=tuple(2 * s.bit_count() for s in range(1 << 13)))
+    inst = Instance(n=2, m=13, agents=(doubled, ones), declared_class="additive")
+    with pytest.raises(WrongClassError, match=r"agents\[0\] has marginals outside \{0, 1\}"):
+        solve_additive(inst)
 
 
 def test_reassignment_regression():

@@ -1,11 +1,11 @@
 import pytest
 
-from chorefair.costs import Additive, Cardinality, Table
+from chorefair.costs import Additive, Cardinality, Table, residual
 from chorefair.errors import InternalInvariantError, WrongClassError
-from chorefair.fairness import is_alpha_efx, is_po_bruteforce
+from chorefair.fairness import CostMatrix, is_alpha_efx, is_po_bruteforce
 from chorefair.instances import Instance, builtin, generate
 from chorefair.reports import GuaranteeTag
-from chorefair.solvers import phase1, solve_cancelable
+from chorefair.solvers import phase1, phase2, solve_cancelable
 
 
 def test_phase1_worked_example():
@@ -128,3 +128,20 @@ def test_identical_cardinality_agents_split_evenly():
 def test_determinism():
     inst = generate("cardinality", 3, 10, seed=41)
     assert solve_cancelable(inst).allocation == solve_cancelable(inst).allocation
+
+
+def test_phase2_queries_no_drop_after_a_zero_marginal_add(monkeypatch):
+    # every phase-2 step here attaches a free item, and a free item leaves
+    # the owner's worst drop equal to her unchanged bundle price
+    inst = generate("cardinality", 8, 120, seed=1, params={"cap": 10})
+    p1 = phase1(inst)
+    views = [residual(fn, base) for fn, base in zip(inst.agents, p1.base_bundles)]
+    asked: list[int] = []
+    item_drops = CostMatrix._item_drops
+    monkeypatch.setattr(
+        CostMatrix, "_item_drops", lambda self, i: asked.append(i) or item_drops(self, i)
+    )
+    counters: dict[str, int] = {}
+    phase2(views, p1.remaining, inst.n, counters=counters)
+    assert counters["adds"] == counters["iterations"] > 0
+    assert asked == []

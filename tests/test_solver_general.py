@@ -1,12 +1,15 @@
+import random
+
 import pytest
 
 from chorefair.costs import Table, Threshold
 from chorefair.errors import WrongClassError
 from chorefair.fairness import is_alpha_ef
 from chorefair.instances import Instance, generate
-from chorefair.itemset import size
+from chorefair.itemset import full_set, size
 from chorefair.reports import GuaranteeTag
-from chorefair.solvers import solve_general
+from chorefair.solvers import run_envy_loop, solve_auto, solve_general
+from chorefair.solvers.common import OpCounter
 
 
 def thresholds(n, m, k):
@@ -90,3 +93,49 @@ def test_trace_names_the_rules():
 def test_determinism():
     inst = generate("table", 3, 9, seed=77)
     assert solve_general(inst).allocation == solve_general(inst).allocation
+
+
+class RecordingOps(OpCounter):
+    """An ``OpCounter`` that also keeps every marginal question it was asked."""
+
+    __slots__ = ("asked",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.asked: list[tuple[int, int, int]] = []
+
+    def marginal(self, fn, item, mask):
+        self.asked.append((id(fn), mask, item))
+        return super().marginal(fn, item, mask)
+
+
+def spread_thresholds(n, m, seed):
+    rng = random.Random(seed)
+    agents = tuple(Threshold(k=rng.randint(5, 40), m=m) for _ in range(n))
+    return Instance(n=n, m=m, agents=agents, declared_class="general")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: spread_thresholds(8, 240, seed=2),
+        lambda: generate("partition_matroid", 5, 100, seed=3, params={"groups": 20}),
+        lambda: generate("table", 3, 10, seed=113),  # rotates twice
+    ],
+    ids=["threshold", "partition_matroid", "table"],
+)
+def test_envy_loop_asks_each_marginal_once(make):
+    inst = make()
+    assert len({id(fn) for fn in inst.agents}) == inst.n  # id(fn) names the agent
+    ops = RecordingOps()
+    counters: dict[str, int] = {}
+    run_envy_loop(inst, [0] * inst.n, full_set(inst.m), ops=ops, counters=counters)
+    assert counters["zero_placements"] and counters["batches"]
+    assert len(ops.asked) == len(set(ops.asked))
+
+
+def test_debug_solve_of_a_large_general_instance():
+    inst = spread_thresholds(10, 300, seed=4)
+    report = solve_auto(inst, debug=True)
+    assert report.counters["zero_placements"] and report.counters["batches"]
+    assert size(report.allocation.unallocated) <= inst.n - 1

@@ -5,7 +5,7 @@ from chorefair.errors import WrongClassError
 from chorefair.fairness import is_alpha_ef, is_alpha_efx
 from chorefair.instances import Instance, builtin, generate
 from chorefair.reports import GuaranteeTag
-from chorefair.solvers import compute_m1, solve_submodular
+from chorefair.solvers import compute_m1, solve_auto, solve_submodular
 
 
 def capped(n, m, cap):
@@ -88,7 +88,7 @@ def test_single_agent_builtin_frozen_counters():
         "zero_placements": 1,
         "rotations": 0,
         "batches": 2,
-        "evals": 18,
+        "evals": 14,
     }
 
 
@@ -129,3 +129,14 @@ def test_seeded_sweep_hits_both_cases():
 def test_determinism():
     inst = generate("partition_matroid", 3, 9, seed=5)
     assert solve_submodular(inst).allocation == solve_submodular(inst).allocation
+
+
+def test_debug_solve_of_a_large_case_1_instance():
+    # random 0/1 rows on ten agents leave no item unit-cost for all of them,
+    # so phase 2 runs on the original functions under the matrix cross-check
+    agents = generate("capped_additive", 10, 200, seed=2).agents
+    inst = Instance(n=10, m=200, agents=agents, declared_class="submodular")
+    report = solve_auto(inst, debug=True)
+    assert report.counters["case"] == 1
+    assert report.guarantee is GuaranteeTag.EFX
+    assert report.allocation.complete
