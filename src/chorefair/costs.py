@@ -7,9 +7,14 @@ zero empty set are enforced at construction; binary marginals are recorded
 as a property so checkers can consume non-binary tables that solvers must
 reject).
 
-Descriptors expose ``m`` (ground-set size) and ``value(mask)``; the free
-functions :func:`evaluate`, :func:`marginal` and :func:`residual` add
-argument validation on top and also accept residual views.
+Descriptors expose ``m`` (ground-set size), ``value(mask)`` and
+``marginal(item, mask)``.  Every kind, and every residual view, answers
+``marginal`` in closed form (a bit test, a count against a cap, or two
+table lookups) instead of pricing two sets; ``item`` must lie outside
+``mask``.  The free functions :func:`evaluate`, :func:`marginal` and
+:func:`residual` add argument validation on top.  :func:`marginal` also
+accepts any ``CostFunction`` protocol object: one without a ``marginal``
+method is answered by the value difference c(S + e) - c(S).
 """
 
 from __future__ import annotations
@@ -71,6 +76,9 @@ class Additive:
     def value(self, mask: ItemSet) -> int:
         return (mask & self._ones).bit_count()
 
+    def marginal(self, item: int, mask: ItemSet) -> int:
+        return self._ones >> item & 1
+
 
 @dataclass(frozen=True)
 class CappedAdditive:
@@ -99,6 +107,9 @@ class CappedAdditive:
     def value(self, mask: ItemSet) -> int:
         return min((mask & self._ones).bit_count(), self.cap)
 
+    def marginal(self, item: int, mask: ItemSet) -> int:
+        return 1 if self._ones >> item & 1 and (mask & self._ones).bit_count() < self.cap else 0
+
 
 @dataclass(frozen=True)
 class Cardinality:
@@ -117,6 +128,9 @@ class Cardinality:
     def value(self, mask: ItemSet) -> int:
         return min(mask.bit_count(), self.cap)
 
+    def marginal(self, item: int, mask: ItemSet) -> int:
+        return 1 if mask.bit_count() < self.cap else 0
+
 
 @dataclass(frozen=True)
 class PartitionMatroidRank:
@@ -128,6 +142,7 @@ class PartitionMatroidRank:
     groups: tuple[tuple[int, ...], ...]
     capacities: tuple[int, ...]
     _group_masks: tuple[ItemSet, ...] = field(init=False, repr=False, compare=False)
+    _group_of: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _m: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -155,8 +170,13 @@ class PartitionMatroidRank:
             raise InvalidInputError("groups must cover items 0..m-1 without gaps")
         object.__setattr__(self, "groups", tuple(tuple(sorted(g)) for g in self.groups))
         object.__setattr__(self, "capacities", tuple(self.capacities))
+        group_of = [0] * seen.bit_length()
+        for gi, group in enumerate(self.groups):
+            for i in group:
+                group_of[i] = gi
         object.__setattr__(self, "_group_masks", tuple(masks))
-        object.__setattr__(self, "_m", sum(len(g) for g in self.groups))
+        object.__setattr__(self, "_group_of", tuple(group_of))
+        object.__setattr__(self, "_m", len(group_of))
 
     @property
     def m(self) -> int:
@@ -167,6 +187,10 @@ class PartitionMatroidRank:
             min((mask & gmask).bit_count(), cap)
             for gmask, cap in zip(self._group_masks, self.capacities)
         )
+
+    def marginal(self, item: int, mask: ItemSet) -> int:
+        g = self._group_of[item]
+        return 1 if (mask & self._group_masks[g]).bit_count() < self.capacities[g] else 0
 
 
 @dataclass(frozen=True)
@@ -187,6 +211,9 @@ class Threshold:
 
     def value(self, mask: ItemSet) -> int:
         return max(0, mask.bit_count() - self.k)
+
+    def marginal(self, item: int, mask: ItemSet) -> int:
+        return 1 if mask.bit_count() >= self.k else 0
 
 
 @dataclass(frozen=True)
@@ -215,9 +242,12 @@ class Table:
             raise InvalidInputError(
                 f"table for m={self.m} needs {1 << self.m} values, got {len(values)}"
             )
-        for mask, v in enumerate(values):
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise InvalidInputError(f"table value at mask {mask} is not an integer: {v!r}")
+        if not set(map(type, values)) <= {int}:
+            for mask, v in enumerate(values):
+                if not isinstance(v, int) or isinstance(v, bool):
+                    raise InvalidInputError(
+                        f"table value at mask {mask} is not an integer: {v!r}"
+                    )
         if values and values[0] != 0:
             raise InvalidInputError(f"table value for the empty set must be 0, got {values[0]}")
         # Dropping any single element must not increase the value; steps of
@@ -236,6 +266,9 @@ class Table:
 
     def value(self, mask: ItemSet) -> int:
         return self.values[mask]
+
+    def marginal(self, item: int, mask: ItemSet) -> int:
+        return self.values[mask | 1 << item] - self.values[mask]
 
 
 Descriptor = Additive | CappedAdditive | Cardinality | PartitionMatroidRank | Threshold | Table
@@ -268,6 +301,15 @@ class ResidualView:
             )
         return self.fn.value(mask | self.base) - self._base_value
 
+    def marginal(self, item: int, mask: ItemSet) -> int:
+        # c(S + e ∪ A) - c(S ∪ A): the base value cancels out
+        grown = mask | 1 << item
+        if grown & self.base:
+            raise InvalidInputError(
+                f"residual query {bin(grown)} overlaps the base bundle {bin(self.base)}"
+            )
+        return _marginal(self.fn, item, mask | self.base)
+
     def __repr__(self) -> str:
         return f"ResidualView({self.fn!r}, base={bin(self.base)})"
 
@@ -289,7 +331,16 @@ def marginal(fn: CostFunction, item: int, mask: ItemSet) -> int:
     if mask & bit:
         raise InvalidInputError(f"item {item} is already in the set")
     _check_mask(fn, mask | bit)
-    return fn.value(mask | bit) - fn.value(mask)
+    return _marginal(fn, item, mask)
+
+
+def _marginal(fn: CostFunction, item: int, mask: ItemSet) -> int:
+    """Unchecked c(S + e) - c(S): the closed form where ``fn`` has one,
+    else the value difference (user-defined protocol objects)."""
+    closed_form = getattr(fn, "marginal", None)
+    if closed_form is None:
+        return fn.value(mask | 1 << item) - fn.value(mask)
+    return closed_form(item, mask)
 
 
 def residual(fn: CostFunction, base: ItemSet) -> ResidualView:

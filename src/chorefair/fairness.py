@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -218,7 +218,7 @@ class CostMatrix:
 
     def _cheapest_rival(self, i: int) -> int:
         row = self.cost[i]
-        return min(c for j, c in enumerate(row) if j != i)
+        return min(row[:i] + row[i + 1 :])
 
     def is_efx(self) -> bool:
         """Plain removal stability, stopping at the first unstable agent.
@@ -334,6 +334,39 @@ def _assignment_masks(n: int, m: int, ranks: np.ndarray) -> list[np.ndarray]:
     return masks
 
 
+def _rank_blocks(
+    n: int, m: int, start: int, stop: int, chunk: int
+) -> Iterator[tuple[int, list[np.ndarray]]]:
+    """Per-agent bundle masks for ranks ``start`` to ``stop - 1``, in
+    ascending blocks of at most ``chunk`` ranks.
+
+    A block holds the n^k ranks (n^k the largest such power <= ``chunk``)
+    that share their high m-k digits.  The low k items' masks are built
+    once, and each block adds one per-agent constant for its high items,
+    so no rank is divided per item.  A range not aligned to n^k gets its
+    end blocks sliced.  Yields (first rank, masks), with masks laid out as
+    in :func:`_assignment_masks`.
+
+    The brute-force Pareto scan consumes it; it is meant to become the
+    shared scan primitive of the oracle's ``analyze`` and
+    ``efx_exists_search`` as well.
+    """
+    k = 0
+    while k < m and n ** (k + 1) <= chunk:
+        k += 1
+    size = n**k
+    low = [masks << (m - k) for masks in _assignment_masks(n, k, np.arange(size, dtype=np.int64))]
+    for hi in range(start // size, -(-stop // size)):
+        base = hi * size
+        a, b = max(start - base, 0), min(stop - base, size)
+        high = [0] * n
+        rest = hi
+        for e in range(m - k - 1, -1, -1):
+            rest, digit = divmod(rest, n)
+            high[digit] |= 1 << e
+        yield base + a, [masks[a:b] + h for masks, h in zip(low, high)]
+
+
 def allocation_from_rank(n: int, m: int, rank: int) -> Allocation:
     owners = []
     for e in range(m):
@@ -345,7 +378,7 @@ def is_po_bruteforce(
     inst: Instance,
     alloc: Allocation,
     limit: int = DEFAULT_ENUMERATION_LIMIT,
-    chunk: int = 1 << 16,
+    chunk: int = 1 << 14,
 ) -> tuple[bool, Allocation | None]:
     """Exhaustive Pareto check for complete allocations.
 
@@ -372,19 +405,16 @@ def is_po_bruteforce(
     own = np.array(
         [evaluate(fn, b) for fn, b in zip(inst.agents, alloc.bundles)], dtype=np.int32
     )
-    for start in range(0, total, chunk):
-        ranks = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        masks = _assignment_masks(n, m, ranks)
-        le = np.ones(len(ranks), dtype=bool)
-        lt = np.zeros(len(ranks), dtype=bool)
+    for first, masks in _rank_blocks(n, m, 0, total, chunk):
+        le = np.ones(len(masks[0]), dtype=bool)
+        lt = np.zeros(len(masks[0]), dtype=bool)
         for i in range(n):
             costs_i = tables[i][masks[i]]
             le &= costs_i <= own[i]
             lt |= costs_i < own[i]
         dominating = le & lt
         if dominating.any():
-            rank = int(ranks[int(np.argmax(dominating))])
-            return False, allocation_from_rank(n, m, rank)
+            return False, allocation_from_rank(n, m, first + int(np.argmax(dominating)))
     return True, None
 
 

@@ -171,7 +171,11 @@ def _int_field(obj: dict, key: str, where: str) -> int:
 
 
 def _int_list(val: Any, where: str) -> list[int]:
-    if not isinstance(val, list) or any(not isinstance(x, int) or isinstance(x, bool) for x in val):
+    # plain ints pass one type test in C; only a list holding something else
+    # is walked (bool is refused, other int subclasses pass)
+    if not isinstance(val, list) or not set(map(type, val)) <= {int} and any(
+        not isinstance(x, int) or isinstance(x, bool) for x in val
+    ):
         raise ParseError(f"{where}: expected a list of integers")
     return val
 

@@ -1,6 +1,8 @@
+import random
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chorefair.costs import (
@@ -18,6 +20,7 @@ from chorefair.costs import (
 )
 from chorefair.errors import InvalidInputError, UnsupportedSizeError
 from chorefair.itemset import full_set, iter_items, size
+from helpers import random_monotone_table
 
 
 def test_additive_values():
@@ -59,10 +62,14 @@ def test_cardinality_values():
 def test_partition_matroid_values():
     fn = PartitionMatroidRank(groups=((0, 1), (2, 3, 4)), capacities=(1, 2))
     assert fn.m == 5
-    # the cached size stays out of equality, hashing and repr
+    # the cached size and item -> group index stay out of equality,
+    # hashing and repr
+    assert fn._group_of == (0, 0, 1, 1, 1)
     same = PartitionMatroidRank(groups=((1, 0), (2, 3, 4)), capacities=(1, 2))
     assert fn == same and hash(fn) == hash(same)
+    assert hash(fn) == hash((fn.groups, fn.capacities))
     assert repr(fn) == "PartitionMatroidRank(groups=((0, 1), (2, 3, 4)), capacities=(1, 2))"
+    assert fn != PartitionMatroidRank(groups=((0, 1), (2, 3, 4)), capacities=(1, 1))
     assert evaluate(fn, 0b00011) == 1
     assert evaluate(fn, 0b11100) == 2
     assert evaluate(fn, full_set(5)) == 3
@@ -252,3 +259,97 @@ def test_marginal_matches_difference():
             assert marginal(fn, e, mask) == evaluate(fn, mask | (1 << e)) - evaluate(
                 fn, mask
             )
+
+
+@st.composite
+def _descriptors(draw):
+    """Any descriptor kind on 1-8 items; partition matroids may have
+    empty groups and zero capacities, tables non-binary marginals."""
+    m = draw(st.integers(1, 8))
+    kind = draw(
+        st.sampled_from(["additive", "capped", "cardinality", "matroid", "threshold", "table"])
+    )
+    costs = tuple(draw(st.lists(st.integers(0, 1), min_size=m, max_size=m)))
+    cap = draw(st.integers(0, m + 1))
+    if kind == "additive":
+        return Additive(costs)
+    if kind == "capped":
+        return CappedAdditive(costs, cap=cap)
+    if kind == "cardinality":
+        return Cardinality(cap=cap, m=m)
+    if kind == "threshold":
+        return Threshold(k=cap, m=m)
+    if kind == "matroid":
+        n_groups = draw(st.integers(1, m + 2))
+        owner = draw(st.lists(st.integers(0, n_groups - 1), min_size=m, max_size=m))
+        groups = tuple(tuple(i for i in range(m) if owner[i] == g) for g in range(n_groups))
+        caps = draw(st.lists(st.integers(0, 3), min_size=n_groups, max_size=n_groups))
+        return PartitionMatroidRank(groups, tuple(caps))
+    return random_monotone_table(m, random.Random(draw(st.integers(0, 2**32))))
+
+
+@settings(max_examples=300)
+@given(_descriptors(), st.data())
+def test_closed_form_marginal_matches_value_difference(fn, data):
+    item = data.draw(st.integers(0, fn.m - 1))
+    bit = 1 << item
+    mask = data.draw(st.integers(0, full_set(fn.m))) & ~bit
+    assert fn.marginal(item, mask) == fn.value(mask | bit) - fn.value(mask)
+    assert marginal(fn, item, mask) == fn.value(mask | bit) - fn.value(mask)
+    # a residual view answers on top of a base disjoint from S + e
+    base = data.draw(st.integers(0, full_set(fn.m))) & ~(mask | bit)
+    view = residual(fn, base)
+    assert view.marginal(item, mask) == view.value(mask | bit) - view.value(mask)
+    assert marginal(view, item, mask) == view.value(mask | bit) - view.value(mask)
+
+
+def test_partition_matroid_marginal_with_empty_group_and_zero_capacity():
+    fn = PartitionMatroidRank(groups=((), (0, 2), (1,), ()), capacities=(5, 1, 0, 2))
+    assert fn._group_of == (1, 2, 1)
+    assert [fn.marginal(0, s) for s in (0b000, 0b010, 0b100)] == [1, 1, 0]
+    assert [fn.marginal(1, s) for s in (0b000, 0b101)] == [0, 0]
+
+
+class _PlainCount:
+    """A user-defined cost function with no ``marginal`` method."""
+
+    m = 3
+
+    def value(self, mask):
+        return min(mask.bit_count(), 2)
+
+
+def test_marginal_falls_back_to_the_difference_for_protocol_objects():
+    fn = _PlainCount()
+    assert [marginal(fn, 2, s) for s in (0b00, 0b01, 0b11)] == [1, 1, 0]
+    view = residual(fn, 0b001)
+    assert [marginal(view, 2, s) for s in (0b00, 0b10)] == [1, 0]
+
+
+def test_residual_marginal_keeps_the_checks():
+    view = residual(Cardinality(cap=2, m=4), 0b0001)
+    # the item itself, or the set it joins, may not overlap the base
+    with pytest.raises(InvalidInputError, match="overlaps the base bundle 0b1"):
+        marginal(view, 0, 0b0010)
+    with pytest.raises(InvalidInputError, match="residual query 0b111 overlaps"):
+        marginal(view, 2, 0b0011)
+    with pytest.raises(InvalidInputError, match="out of range"):
+        marginal(view, 4, 0)
+    with pytest.raises(InvalidInputError, match="already in the set"):
+        marginal(view, 1, 0b0010)
+
+
+class _Int(int):
+    pass
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "1"])
+def test_table_refuses_non_integers_at_their_first_index(bad):
+    values = [0, 1, 1, 2]
+    values[2] = bad
+    with pytest.raises(InvalidInputError, match=f"value at mask 2 is not an integer: {bad!r}"):
+        Table(m=2, values=tuple(values))
+
+
+def test_table_accepts_int_subclasses_other_than_bool():
+    assert Table(m=1, values=(0, _Int(1))).value(1) == 1

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,6 +13,8 @@ from chorefair.fairness import (
     CostMatrix,
     EnvyGraph,
     Violation,
+    _assignment_masks,
+    _rank_blocks,
     allocation_from_rank,
     build_envy_graph,
     find_cycle_through_edge,
@@ -235,6 +238,58 @@ def test_is_po_bruteforce_on_ternary():
     po, dom = is_po_bruteforce(inst, Allocation(n=2, m=3, bundles=(0b111, 0)))
     assert not po
     assert dom is not None and dom.bundles == (0b101, 0b010)
+
+
+def _first_dominator(inst, alloc):
+    """The first dominating allocation in rank order, by a plain loop."""
+    own = [evaluate(fn, b) for fn, b in zip(inst.agents, alloc.bundles)]
+    for rank in range(inst.n**inst.m):
+        other = allocation_from_rank(inst.n, inst.m, rank)
+        costs = [evaluate(fn, b) for fn, b in zip(inst.agents, other.bundles)]
+        if all(c <= o for c, o in zip(costs, own)) and costs != own:
+            return other
+    return None
+
+
+def test_is_po_bruteforce_does_not_depend_on_the_chunk_size():
+    rng = random.Random(5)
+    seen_po = seen_dominated = 0
+    for n, m in [(2, 5), (3, 4), (3, 5), (4, 3)]:
+        inst = Instance(
+            n=n,
+            m=m,
+            declared_class="general",
+            agents=tuple(random_monotone_table(m, rng) for _ in range(n)),
+        )
+        # rank 0 gives every item to agent 0; the social-cost minimum is PO
+        sums = [social_cost(inst, allocation_from_rank(n, m, r)) for r in range(n**m)]
+        ranks = [0, sums.index(min(sums))] + [rng.randrange(n**m) for _ in range(4)]
+        for rank in ranks:
+            alloc = allocation_from_rank(n, m, rank)
+            expected = _first_dominator(inst, alloc)
+            for chunk in (1, 7, 1 << 14, 1 << 16):
+                assert is_po_bruteforce(inst, alloc, chunk=chunk) == (expected is None, expected)
+            seen_po += expected is None
+            seen_dominated += expected is not None
+    assert seen_po and seen_dominated
+
+
+@given(
+    st.integers(1, 4), st.integers(0, 6), st.integers(1, 100), st.floats(0, 1), st.floats(0, 1)
+)
+def test_rank_blocks_match_direct_masks_on_any_range(n, m, chunk, lo, hi):
+    total = n**m
+    start, stop = sorted((int(lo * total), int(hi * total)))
+    direct = _assignment_masks(n, m, np.arange(start, stop, dtype=np.int64))
+    pieces = list(_rank_blocks(n, m, start, stop, chunk))
+    pos = start
+    for first, masks in pieces:
+        assert first == pos and len(masks[0]) <= chunk
+        pos += len(masks[0])
+    assert pos == stop
+    for i in range(n):
+        joined = [x for _, masks in pieces for x in masks[i].tolist()]
+        assert joined == direct[i].tolist()
 
 
 def test_is_po_bruteforce_respects_limit():

@@ -147,6 +147,26 @@ def test_parse_rejects_malformed_documents(bad):
         parse_instance(bad)
 
 
+@pytest.mark.parametrize("bad", ["true", "1.0", '"1"'])
+def test_parse_refuses_a_non_integer_table_value_at_a_later_index(bad):
+    text = (
+        '{"n": 1, "m": 2, "declared_class": "general", '
+        f'"agents": [{{"type": "table", "m": 2, "values": [0, 1, {bad}, 2]}}]}}'
+    )
+    with pytest.raises(ParseError, match=r"agents\[0\]\.values: expected a list of integers"):
+        parse_instance(text)
+
+
+def test_int_lists_accept_int_subclasses_other_than_bool():
+    class Int(int):
+        pass
+
+    fn = descriptor_from_json({"type": "table", "m": 1, "values": [0, Int(1)]}, m=1)
+    assert fn == Table(m=1, values=(0, 1))
+    with pytest.raises(ParseError, match="expected a list of integers"):
+        descriptor_from_json({"type": "table", "m": 1, "values": [0, True]}, m=1)
+
+
 def test_generate_is_deterministic_and_seed_sensitive():
     for family in GENERATOR_FAMILIES:
         a = serialize_instance(generate(family, 3, 5, seed=11))
