@@ -15,7 +15,7 @@ this module is exact; no floats anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple
 
@@ -219,6 +219,10 @@ class CostMatrix:
     def _cheapest_rival(self, i: int) -> int:
         row = self.cost[i]
         return min(row[:i] + row[i + 1 :])
+
+    def envies_nobody(self, i: int) -> bool:
+        """c_i(X_i) <= c_i(X_k) for every k != i; true when n < 2."""
+        return len(self.bundles) < 2 or self.cost[i][i] <= self._cheapest_rival(i)
 
     def is_efx(self) -> bool:
         """Plain removal stability, stopping at the first unstable agent.
@@ -431,14 +435,18 @@ class EnvyGraph:
 
     n: int
     edges: frozenset[tuple[int, int]]
+    _succ: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        succ: list[list[int]] = [[] for _ in range(self.n)]
         for i, j in self.edges:
             if i == j or not (0 <= i < self.n and 0 <= j < self.n):
                 raise InvalidInputError(f"bad envy edge ({i}, {j}) for n={self.n}")
+            succ[i].append(j)
+        object.__setattr__(self, "_succ", tuple(tuple(sorted(s)) for s in succ))
 
     def successors(self, i: int) -> list[int]:
-        return sorted(j for (a, j) in self.edges if a == i)
+        return list(self._succ[i])
 
     def has_edge(self, i: int, j: int) -> bool:
         return (i, j) in self.edges

@@ -101,6 +101,19 @@ def phase2(
     aborts, flagging an input outside the supported classes.  ``debug``
     also checks the maintained cost matrix, worst drops included, against
     a fresh build after every iteration.
+
+    A free attachment is decided from agent i's matrix row alone: attaching
+    an item of zero marginal to X_i keeps removal stability iff
+    c_i(X_i) <= c_i(X_k) for every k != i.  The premises are monotone
+    views and a removal-stable matrix on entry to the iteration (the seeds
+    are singletons, and stability is re-checked at the end of every
+    iteration).  No other agent's bundle, price or worst drop changes, and
+    the bundle X_i they compare against only gets dearer; agent i keeps her
+    price, and her worst drop becomes that price (drop the new item to get
+    it back; monotonicity caps every other drop).  So the bundle is
+    re-priced only when the attachment is accepted.  ``debug`` compares
+    every decision, accepted or refused, with an uncounted fresh check of
+    the attached allocation.
     """
     ops = ops or OpCounter()
     tr = tr or Trace(False)
@@ -141,15 +154,22 @@ def phase2(
         placed = False
         for i, v in enumerate(views):
             if ops.marginal(v, e, bundles[i]) == 0:
-                old = bundles[i]
-                matrix.update(i, old | 1 << e)
-                if matrix.is_efx():
+                placed = matrix.envies_nobody(i)
+                if debug:
+                    trial = list(bundles)
+                    trial[i] |= 1 << e
+                    if CostMatrix(views, trial).is_efx() != placed:
+                        raise InternalInvariantError(
+                            f"attaching item {e} to agent {i}'s bundle: the row "
+                            f"decided {placed}, a fresh removal-stability check "
+                            "disagrees"
+                        )
+                if placed:
+                    matrix.update(i, bundles[i] | 1 << e)
                     pool &= ~(1 << e)
-                    placed = True
                     counters["adds"] += 1
                     tr.emit("add", item=e, agent=i)
                     break
-                matrix.update(i, old)
         if not placed:
             i = next((i for i in range(n) if cost[i][i] == 0), None)
             if i is not None:

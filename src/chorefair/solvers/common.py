@@ -37,14 +37,17 @@ _CLASS_CHECKS = {
 def ensure_class(inst: Instance, required: str) -> None:
     """Gate an instance for a solver that assumes membership in ``required``.
 
-    The declaration must not be broader than the solver handles.  On small
-    ground sets the declaration is then re-proved exhaustively per agent;
-    on larger ones descriptor kinds that guarantee the class are trusted
-    and the rest ride on the declaration (runtime invariant checks inside
-    the solvers catch mis-declared inputs there).  The one exception is
-    additivity, which no runtime check can see but Pareto optimality rests
-    on: explicit tables, the only agents that can be declared narrower than
-    they are, are proved additive at every size they support.
+    The declaration must not be broader than the solver handles.  Every
+    agent whose descriptor kind does not guarantee the class must have
+    binary marginals, at every ground-set size: the solvers' shortcuts rest
+    on marginals of at most 1, and for a ``Table`` the test reads a flag
+    computed at construction.  On small ground sets the declaration is then
+    re-proved exhaustively per agent; on larger ones the rest ride on the
+    declaration (runtime invariant checks inside the solvers catch
+    mis-declared inputs there).  The one exception is additivity, which no
+    runtime check can see but Pareto optimality rests on: explicit tables,
+    the only agents that can be declared narrower than they are, are proved
+    additive at every size they support.
     """
     if CLASS_RANK[inst.declared_class] > CLASS_RANK[required]:
         raise WrongClassError(
@@ -53,12 +56,12 @@ def ensure_class(inst: Instance, required: str) -> None:
         )
     exhaustive = inst.m <= VERIFY_MAX_M
     for i, fn in enumerate(inst.agents):
-        if kind_guarantees(fn, required) or not (
-            exhaustive or (required == "additive" and isinstance(fn, Table))
-        ):
+        if kind_guarantees(fn, required):
             continue
         if not is_binary_marginal(fn):
             raise WrongClassError(f"agents[{i}] has marginals outside {{0, 1}}")
+        if not (exhaustive or (required == "additive" and isinstance(fn, Table))):
+            continue
         check = _CLASS_CHECKS.get(required)
         witnesses: dict = {}
         if check is not None and not check(fn.m, value_table(fn), witnesses):

@@ -12,6 +12,7 @@ leaving at most n-1 items over.
 
 from __future__ import annotations
 
+from ..costs import marginal
 from ..errors import InternalInvariantError
 from ..fairness import CostMatrix, find_cycle_through_edge, tail_scc
 from ..instances import Instance
@@ -42,12 +43,25 @@ def run_envy_loop(
     and the maintained matrix against a fresh build after every iteration.
 
     Marginal queries are memoised per call: ``unit[(i, B)]`` holds the
-    items whose marginal for agent i on bundle B was asked and came back
-    exactly 1.  The answer depends only on the agent, the bundle and the
-    item, so an entry stays exact when bundles rotate between agents and
-    as the pool shrinks.  Every rule skips the items it lists, and a zero
-    answer places its item, changing the bundle, so with binary marginals
-    each (agent, bundle, item) marginal is queried once.
+    items whose marginal for agent i on bundle B is known to be exactly 1.
+    The answer depends only on the agent, the bundle and the item, so an
+    entry stays exact when bundles rotate between agents and as the pool
+    shrinks.  Every rule skips the items it lists, and a zero answer
+    places its item, changing the bundle, so with binary marginals each
+    (agent, bundle, item) marginal is queried at most once.
+
+    A whole pool is certified unit with one price.  For a cost whose
+    marginals are at most 1 (the class gate proves this of every agent), if
+    c(B ∪ R) - c(B) = |R| for R disjoint from B, then every e in R has
+    c(B + e) - c(B) = 1: put e first in the telescoping sum; each other
+    term is at most 1, so e's term must be 1.  c_i(X_j) is the maintained
+    ``matrix.cost[i][j]``, current at every rule because the matrix is
+    re-priced only at the end of an iteration.  So after the first unit
+    answer of a scan, when at least two unknown pool items remain, one
+    query of their union either certifies them all (they join the memo and
+    the scan ends empty) or fails, and the scan goes on item by item as
+    before; the returned item is the same either way.  ``debug`` re-asks
+    every certified item, uncounted.
     """
     ops = ops or OpCounter()
     tr = tr or Trace(False)
@@ -58,18 +72,30 @@ def run_envy_loop(
     matrix = CostMatrix(inst.agents, bundles, ops.evaluate)
     unit: dict[tuple[int, ItemSet], ItemSet] = {}
 
-    def lowest_free(
-        i: int, bundle: ItemSet, pool: ItemSet, zero_only: bool = True
-    ) -> int | None:
-        """Lowest pool item free for agent i on ``bundle`` (marginal 0; with
+    def lowest_free(i: int, j: int, pool: ItemSet, zero_only: bool = True) -> int | None:
+        """Lowest pool item free for agent i on bundle j (marginal 0; with
         ``zero_only`` off, any marginal but 1), or None."""
-        fn, key = inst.agents[i], (i, bundle)
+        fn, bundle = inst.agents[i], bundles[j]
+        key = (i, bundle)
         known = unit.get(key, 0)
         found = None
+        first = True
         for e in iter_items(pool & ~known):
             step = ops.marginal(fn, e, bundle)
             if step == 1:
                 known |= 1 << e
+                if first:
+                    first = False
+                    rest = pool & ~known
+                    count = size(rest)
+                    if count >= 2 and ops.evaluate(fn, bundle | rest) == matrix.cost[i][j] + count:
+                        if debug and any(marginal(fn, r, bundle) != 1 for r in iter_items(rest)):
+                            raise InternalInvariantError(
+                                f"agent {i}'s unit-pool certificate on bundle {j} "
+                                "covers an item whose marginal is not 1"
+                            )
+                        known |= rest
+                        break
             elif step == 0 or not zero_only:
                 found = e
                 break
@@ -82,11 +108,9 @@ def run_envy_loop(
             raise InternalInvariantError(
                 f"placement loop still running after {m + 1} iterations"
             )
-        graph = matrix.graph()
-
         touched: list[int] = []
         for i in range(n):
-            e = lowest_free(i, bundles[i], pool)
+            e = lowest_free(i, i, pool)
             if e is not None:
                 bundles[i] |= 1 << e
                 pool &= ~(1 << e)
@@ -96,11 +120,14 @@ def run_envy_loop(
                 break
 
         if not touched:
+            # rule 1 reads no graph, so it is built only once rule 1 placed
+            # nothing, from the matrix rule 1 left unchanged
+            graph = matrix.graph()
             for i, j in sorted(graph.edges):
                 cycle = find_cycle_through_edge(graph, i, j)
                 if cycle is None:
                     continue
-                e = lowest_free(i, bundles[j], pool)
+                e = lowest_free(i, j, pool)
                 if e is not None:
                     old = [bundles[v] for v in cycle]
                     for idx, u in enumerate(cycle):
@@ -124,7 +151,7 @@ def run_envy_loop(
                 for j in component:
                     if i != j and not graph.has_edge(i, j):
                         continue
-                    e = lowest_free(i, bundles[j], pool, zero_only=False)
+                    e = lowest_free(i, j, pool, zero_only=False)
                     if e is not None:
                         raise InternalInvariantError(
                             f"batch hand-out while item {e} is still free "

@@ -19,7 +19,7 @@ from chorefair.costs import _random_subset
 from chorefair.errors import UnsupportedSizeError, WrongClassError
 from chorefair.instances import CLASSES, Instance, builtin, kind_guarantees
 from chorefair.itemset import size
-from chorefair.solvers import ensure_class
+from chorefair.solvers import ensure_class, solve_auto
 from helpers import random_binary_table, random_monotone_table
 
 
@@ -203,6 +203,21 @@ def test_class_gate_matches_full_reports():
                 refused.add(required)
             assert got == _gate_by_full_report(inst, required)
     assert refused == set(CLASSES)
+
+
+def doubled_table_pair(m: int, declared: str) -> Instance:
+    """Every item costs 2 to agent 0; agent 1 is a unit-cost cardinality table."""
+    doubled = Table(m=m, values=tuple(2 * s.bit_count() for s in range(1 << m)))
+    unit = Table(m=m, values=tuple(min(s.bit_count(), 3) for s in range(1 << m)))
+    return Instance(n=2, m=m, agents=(doubled, unit), declared_class=declared)
+
+
+@pytest.mark.parametrize("declared", ["general", "cancelable", "submodular"])
+@pytest.mark.parametrize("m", [12, 13])
+def test_gate_refuses_non_binary_tables_at_every_size(declared, m):
+    inst = doubled_table_pair(m, declared)
+    with pytest.raises(WrongClassError, match=r"^agents\[0\] has marginals outside \{0, 1\}$"):
+        solve_auto(inst)
 
 
 def test_check_class_size_cap():

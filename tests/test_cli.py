@@ -47,6 +47,16 @@ class TestSolve:
         assert code == 2
         assert "marginals outside {0, 1}" in err
 
+    @pytest.mark.parametrize("declared", ["general", "cancelable", "submodular"])
+    @pytest.mark.parametrize("m", [12, 13])
+    def test_non_binary_table_refused_at_every_size(self, capsys, tmp_path, declared, m):
+        doubled = Table(m=m, values=tuple(2 * s.bit_count() for s in range(1 << m)))
+        inst = Instance(n=2, m=m, agents=(doubled, doubled), declared_class=declared)
+        code, out, err = run(capsys, "solve", "--input", write_instance(tmp_path, inst))
+        assert code == 2
+        assert out == ""
+        assert err == "error: agents[0] has marginals outside {0, 1}\n"
+
     def test_cap5_verified_solve(self, capsys):
         code, payload, err = run_json(
             capsys, "solve", "--builtin", "cancelable-cap5-n2", "--verify"

@@ -330,6 +330,22 @@ def test_envy_graph_no_self_edges():
     assert all(i != j for i, j in graph.edges)
 
 
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.sets(st.tuples(st.integers(0, 5), st.integers(0, 5))),
+)
+def test_envy_graph_successors_match_an_edge_scan(n, pairs):
+    edges = frozenset((i, j) for i, j in pairs if i != j and i < n and j < n)
+    graph = EnvyGraph(n=n, edges=edges)
+    for i in range(n):
+        assert graph.successors(i) == sorted(j for a, j in edges if a == i)
+    # the cached adjacency takes no part in equality, hashing or repr
+    twin = EnvyGraph(n=n, edges=frozenset(sorted(edges)))
+    assert graph == twin and hash(graph) == hash(twin) == hash((n, edges))
+    assert repr(graph) == f"EnvyGraph(n={n}, edges={edges!r})"
+    assert graph != EnvyGraph(n=n + 1, edges=edges)
+
+
 def test_cycle_search():
     ring = EnvyGraph(n=3, edges=frozenset({(0, 1), (1, 2), (2, 0)}))
     assert find_cycle_through_edge(ring, 0, 1) == [0, 1, 2]

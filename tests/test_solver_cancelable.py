@@ -69,14 +69,15 @@ def test_declared_class_gate():
 
 def test_swap_branch_regression():
     # one agent with two free items among unit-cost rivals walks the
-    # reshuffle through take, swap, then a zero-marginal add
+    # reshuffle through take, swap, then a zero-marginal add; debug
+    # compares every attach decision, refusals included, with a fresh check
     inst = Instance(
         n=3,
         m=4,
         agents=(Additive((1, 1, 0, 0)), Additive((1, 1, 1, 1)), Additive((1, 1, 1, 1))),
         declared_class="cancelable",
     )
-    report = solve_cancelable(inst, trace=True)
+    report = solve_cancelable(inst, debug=True, trace=True)
     branches = [ev["event"] for ev in report.trace if ev["event"] in ("add", "merge", "take", "swap")]
     assert branches == ["take", "swap", "add"]
     assert report.allocation.bundles == (0b1100, 0b0010, 0b0001)
@@ -95,7 +96,7 @@ def test_merge_branch_regression():
         ),
         declared_class="cancelable",
     )
-    report = solve_cancelable(inst, trace=True)
+    report = solve_cancelable(inst, debug=True, trace=True)
     branches = [ev["event"] for ev in report.trace if ev["event"] in ("add", "merge", "take", "swap")]
     assert branches == ["add", "merge"]
     assert report.allocation.bundles == (0b0001, 0b0010, 0b0100, 0b1000)
@@ -145,3 +146,9 @@ def test_phase2_queries_no_drop_after_a_zero_marginal_add(monkeypatch):
     phase2(views, p1.remaining, inst.n, counters=counters)
     assert counters["adds"] == counters["iterations"] > 0
     assert asked == []
+
+
+def test_capped_additive_query_budget():
+    report = solve_cancelable(generate("capped_additive", 10, 300, 5))
+    assert report.counters["adds"] == 299
+    assert report.counters["evals"] < 6_000

@@ -1,15 +1,18 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from chorefair.costs import Table, Threshold
-from chorefair.errors import WrongClassError
+from chorefair.costs import Table, Threshold, evaluate, marginal
+from chorefair.errors import InternalInvariantError, WrongClassError
 from chorefair.fairness import is_alpha_ef
 from chorefair.instances import Instance, generate
-from chorefair.itemset import full_set, size
+from chorefair.itemset import full_set, iter_items, size
 from chorefair.reports import GuaranteeTag
 from chorefair.solvers import run_envy_loop, solve_auto, solve_general
 from chorefair.solvers.common import OpCounter
+from helpers import random_binary_table
 
 
 def thresholds(n, m, k):
@@ -139,3 +142,43 @@ def test_debug_solve_of_a_large_general_instance():
     report = solve_auto(inst, debug=True)
     assert report.counters["zero_placements"] and report.counters["batches"]
     assert size(report.allocation.unallocated) <= inst.n - 1
+
+
+@given(
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=0, max_value=2**32),
+    st.integers(min_value=0, max_value=(1 << 8) - 1),
+)
+def test_unit_pool_lemma_on_binary_tables(m, seed, base):
+    # c(B u R) - c(B) = |R| forces every single marginal c(B + e) - c(B) in
+    # R to be 1 when no marginal exceeds 1; checked for every R outside B
+    fn = random_binary_table(m, random.Random(seed))
+    base &= full_set(m)
+    price = evaluate(fn, base)
+    outside = full_set(m) & ~base
+    rest = outside
+    while True:
+        if evaluate(fn, base | rest) - price == size(rest):
+            assert all(marginal(fn, e, base) == 1 for e in iter_items(rest))
+        if rest == 0:
+            break
+        rest = (rest - 1) & outside
+
+
+def test_threshold_query_budget():
+    inst = thresholds(8, 300, k=20)
+    report = solve_auto(inst)
+    assert report.counters["evals"] < 6_000
+    assert size(report.allocation.unallocated) <= inst.n - 1
+
+
+def test_debug_catches_a_certificate_fooled_by_a_non_binary_cost():
+    # item 1 costs 2 and item 2 is free, so the pool {1, 2} prices at 2 on
+    # the empty bundle as if both were unit; the gate refuses this cost
+    # before a solver runs, the loop itself does not check it
+    fooled = Table(m=3, values=tuple((s & 1) + 2 * (s >> 1 & 1) for s in range(8)))
+    inst = Instance(n=1, m=3, agents=(fooled,), declared_class="general")
+    with pytest.raises(WrongClassError):
+        solve_general(inst)
+    with pytest.raises(InternalInvariantError, match="unit-pool certificate"):
+        run_envy_loop(inst, [0], full_set(3), debug=True)
