@@ -11,10 +11,14 @@ Descriptors expose ``m`` (ground-set size), ``value(mask)`` and
 ``marginal(item, mask)``.  Every kind, and every residual view, answers
 ``marginal`` in closed form (a bit test, a count against a cap, or two
 table lookups) instead of pricing two sets; ``item`` must lie outside
-``mask``.  The free functions :func:`evaluate`, :func:`marginal` and
-:func:`residual` add argument validation on top.  :func:`marginal` also
-accepts any ``CostFunction`` protocol object: one without a ``marginal``
-method is answered by the value difference c(S + e) - c(S).
+``mask``.  The methods trust their arguments.  Validation lives at the
+public boundary: the free functions :func:`evaluate`, :func:`marginal` and
+:func:`residual` range-check every mask and item, and so does every
+default ``CostMatrix``.  The solvers check the masks a caller hands them
+once, at their entry points, and then ask the unchecked methods through
+their op counter.  :func:`marginal` also accepts any ``CostFunction``
+protocol object: one without a ``marginal`` method is answered by the
+value difference c(S + e) - c(S).
 """
 
 from __future__ import annotations
@@ -45,10 +49,10 @@ class CostFunction(Protocol):
     def value(self, mask: ItemSet) -> int: ...
 
 
-def _check_mask(fn: CostFunction, mask: ItemSet) -> None:
-    if mask < 0 or mask >> fn.m:
+def _check_mask(m: int, mask: ItemSet) -> None:
+    if mask < 0 or mask >> m:
         raise InvalidInputError(
-            f"item set {bin(mask)} out of range for ground set of size {fn.m}"
+            f"item set {bin(mask)} out of range for ground set of size {m}"
         )
 
 
@@ -285,7 +289,7 @@ class ResidualView:
     __slots__ = ("fn", "base", "_base_value")
 
     def __init__(self, fn: CostFunction, base: ItemSet):
-        _check_mask(fn, base)
+        _check_mask(fn.m, base)
         self.fn = fn
         self.base = base
         self._base_value = fn.value(base)
@@ -316,7 +320,7 @@ class ResidualView:
 
 def evaluate(fn: CostFunction, mask: ItemSet) -> int:
     """Cost of the item set ``mask`` under ``fn``, with range validation."""
-    _check_mask(fn, mask)
+    _check_mask(fn.m, mask)
     return fn.value(mask)
 
 
@@ -330,7 +334,7 @@ def marginal(fn: CostFunction, item: int, mask: ItemSet) -> int:
     bit = 1 << item
     if mask & bit:
         raise InvalidInputError(f"item {item} is already in the set")
-    _check_mask(fn, mask | bit)
+    _check_mask(fn.m, mask | bit)
     return _marginal(fn, item, mask)
 
 

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, Protocol
 
 import numpy as np
 
 from . import itemset
-from .costs import CostFunction, evaluate, value_table
+from .costs import CostFunction, _check_mask, evaluate, marginal, value_table
 from .errors import InternalInvariantError, InvalidInputError, UnsupportedSizeError
 from .instances import Instance
 from .itemset import ItemSet, full_set, iter_items
@@ -150,20 +150,53 @@ def social_cost(inst: Instance, alloc: Allocation) -> int:
 # ---------------------------------------------------------------------------
 
 
+class Queries(Protocol):
+    """Where a :class:`CostMatrix` sends its cost queries."""
+
+    def evaluate(self, fn: CostFunction, mask: ItemSet) -> int: ...
+
+    def marginal(self, fn: CostFunction, item: int, mask: ItemSet) -> int: ...
+
+
+class _CheckedQueries:
+    """The default queries: this module's validated ``evaluate`` and
+    ``marginal``, looked up per call.  A grown set out of range gets the
+    message a whole-set price gives it."""
+
+    @staticmethod
+    def evaluate(fn: CostFunction, mask: ItemSet) -> int:
+        return evaluate(fn, mask)
+
+    @staticmethod
+    def marginal(fn: CostFunction, item: int, mask: ItemSet) -> int:
+        _check_mask(fn.m, mask | 1 << item)
+        return marginal(fn, item, mask)
+
+
 class CostMatrix:
     """Every agent's price for every bundle, kept current as bundles change.
 
     ``cost[i][j]`` is c_i(X_j).  ``worst_drop(i)`` is max over e in X_i of
     c_i(X_i - e), the highest price agent i can be left with after giving up
     one item; it is queried on first read and cached until X_i changes,
-    unless ``update`` can derive it (below).
-    Envy-freeness, removal stability and the equality envy graph are all
-    read off these numbers.  ``update`` re-prices the one bundle that
-    changed, so a solver that moves a few items per step pays n queries per
-    changed bundle instead of a full rebuild.
+    unless ``update`` can derive it (below).  Each item's drop is read as
+    c_i(X_i) - marginal_i(e, X_i - e), one closed-form marginal instead of a
+    whole-set price.  Envy-freeness, removal stability and the equality envy
+    graph are all read off these numbers.
 
-    ``query(fn, mask)`` prices one bundle for one agent: solvers pass their
-    counting ``OpCounter.evaluate``, checkers default to ``evaluate``.
+    ``ops`` answers the queries: an object with ``evaluate(fn, mask)`` and
+    ``marginal(fn, item, mask)``, such as a solver's counting, unchecked
+    ``OpCounter``, whose caller has validated its masks.  By default they
+    are this module's ``evaluate`` and ``marginal``, which range-check every
+    mask and item.  Either way the two names are resolved per call, so a
+    wrapper installed on them afterwards still sees every query.
+
+    ``update`` re-prices the one bundle that changed.  When bundle j grew
+    by one item e, row k is re-priced as c_k(X_j) + marginal_k(e, X_j),
+    and a step the caller already knows is passed in and not asked again;
+    any other change re-prices the bundle whole.  Either way a solver that
+    moves a few items per step pays at most n queries per changed bundle
+    instead of a full rebuild.
 
     Every cost function is taken to be monotone (``costs`` builds each
     descriptor kind that way and ``Table`` refuses anything else), and
@@ -174,41 +207,50 @@ class CostMatrix:
     bundle's own price.
     """
 
-    __slots__ = ("funcs", "bundles", "cost", "_query", "_drop")
+    __slots__ = ("funcs", "bundles", "cost", "_evaluate", "_marginal", "_drop")
 
     def __init__(
         self,
         funcs: list[CostFunction] | tuple[CostFunction, ...],
         bundles: tuple[ItemSet, ...] | list[ItemSet],
-        query: Callable[[CostFunction, ItemSet], int] | None = None,
+        ops: Queries | None = None,
     ):
         if len(funcs) != len(bundles):
             raise InvalidInputError(f"{len(funcs)} cost functions for {len(bundles)} bundles")
         self.funcs = tuple(funcs)
         self.bundles = list(bundles)
-        # resolved per matrix, not bound at import, so that a wrapper put on
-        # this module's ``evaluate`` afterwards still sees every query
-        self._query = evaluate if query is None else query
-        self.cost = [[self._query(fn, b) for b in self.bundles] for fn in self.funcs]
+        ops = _CheckedQueries if ops is None else ops
+        self._evaluate, self._marginal = ops.evaluate, ops.marginal
+        self.cost = [[self._evaluate(fn, b) for b in self.bundles] for fn in self.funcs]
         self._drop: list[int | None] = [None] * len(self.bundles)
 
-    def update(self, j: int, bundle: ItemSet) -> None:
+    def update(self, j: int, bundle: ItemSet, known: dict[int, int] | None = None) -> None:
         """Replace bundle j and re-price it for every agent.
 
-        The worst drop of j is derived when the bundle grew and its
-        owner's price did not (see the class docstring); otherwise it is
-        marked stale and re-queried on first read.
+        When the bundle grew by one item, ``known`` may map agents to their
+        marginal for that item on the old bundle; those are not asked.  The
+        worst drop of j is derived when the bundle grew and its owner's
+        price did not (see the class docstring); otherwise it is marked
+        stale and re-queried on first read.
         """
         old, price = self.bundles[j], self.cost[j][j]
         self.bundles[j] = bundle
-        for row, fn in zip(self.cost, self.funcs):
-            row[j] = self._query(fn, bundle)
-        grew = bundle != old and bundle & old == old
+        added = bundle & ~old
+        grew = bool(added) and bundle & old == old
+        if grew and not added & (added - 1):
+            e = added.bit_length() - 1
+            known = known or {}
+            for k, (row, fn) in enumerate(zip(self.cost, self.funcs)):
+                step = known.get(k)
+                row[j] += self._marginal(fn, e, old) if step is None else step
+        else:
+            for row, fn in zip(self.cost, self.funcs):
+                row[j] = self._evaluate(fn, bundle)
         self._drop[j] = price if grew and self.cost[j][j] == price else None
 
     def _item_drops(self, i: int) -> list[tuple[int, int]]:
-        fn, mine = self.funcs[i], self.bundles[i]
-        return [(e, self._query(fn, mine ^ (1 << e))) for e in iter_items(mine)]
+        fn, mine, price = self.funcs[i], self.bundles[i], self.cost[i][i]
+        return [(e, price - self._marginal(fn, e, mine ^ (1 << e))) for e in iter_items(mine)]
 
     def worst_drop(self, i: int) -> int:
         """max over e in X_i of c_i(X_i - e); X_i must be non-empty."""

@@ -18,7 +18,7 @@ from ..fairness import CostMatrix
 from ..instances import Instance
 from ..itemset import ItemSet, full_set, iter_items, lowest, size
 from ..reports import GuaranteeTag, SolveReport
-from .common import OpCounter, Trace, ensure_class, finish
+from .common import OpCounter, Trace, check_items, ensure_class, finish
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ def phase1(
             pool &= ~(1 << e)
             tr.emit("base-placement", round=rounds, item=e, agent=k)
     w = size(bundles[0])
-    prices = CostMatrix(inst.agents, bundles, ops.evaluate).cost
+    prices = CostMatrix(inst.agents, bundles, ops).cost
     for i, row in enumerate(prices):
         for j, got in enumerate(row):
             if got != w:
@@ -90,6 +90,8 @@ def phase2(
 ) -> list[ItemSet]:
     """Allocate ``remaining`` under the per-agent cost views.
 
+    ``remaining`` must lie in every view's ground set; it is checked once
+    here, and the loop asks its queries through ``ops`` unchecked.
     Requires fewer than n items that every view prices at 1; those seed the
     first bundles.  Each iteration then either attaches the lowest
     unallocated item somewhere for free (when removal stability survives
@@ -111,7 +113,9 @@ def phase2(
     the bundle X_i they compare against only gets dearer; agent i keeps her
     price, and her worst drop becomes that price (drop the new item to get
     it back; monotonicity caps every other drop).  So the bundle is
-    re-priced only when the attachment is accepted.  ``debug`` compares
+    re-priced only when the attachment is accepted, and the owner's zero is
+    handed to the matrix rather than asked again (a take likewise hands
+    over the owner's step the attach scan asked).  ``debug`` compares
     every decision, accepted or refused, with an uncounted fresh check of
     the attached allocation.
     """
@@ -122,10 +126,12 @@ def phase2(
         counters.setdefault(key, 0)
     if len(views) != n:
         raise InvalidInputError(f"{len(views)} cost views for n={n} agents")
+    for v in views:
+        check_items(v.m, [remaining])
     m_total = max((v.m for v in views), default=0)
 
     unit_items = [
-        e for e in iter_items(remaining) if all(ops.evaluate(v, 1 << e) == 1 for v in views)
+        e for e in iter_items(remaining) if all(ops.marginal(v, e, 0) == 1 for v in views)
     ]
     if len(unit_items) >= n:
         raise InternalInvariantError(
@@ -138,7 +144,7 @@ def phase2(
         bundles[k] = 1 << e
         pool &= ~(1 << e)
         tr.emit("seed", item=e, agent=k)
-    matrix = CostMatrix(views, bundles, ops.evaluate)
+    matrix = CostMatrix(views, bundles, ops)
     # both lists are kept current in place by matrix.update
     bundles, cost = matrix.bundles, matrix.cost
 
@@ -152,8 +158,10 @@ def phase2(
             )
         e = lowest(pool)
         placed = False
+        steps = []
         for i, v in enumerate(views):
-            if ops.marginal(v, e, bundles[i]) == 0:
+            steps.append(ops.marginal(v, e, bundles[i]))
+            if steps[i] == 0:
                 placed = matrix.envies_nobody(i)
                 if debug:
                     trial = list(bundles)
@@ -165,7 +173,7 @@ def phase2(
                             "disagrees"
                         )
                 if placed:
-                    matrix.update(i, bundles[i] | 1 << e)
+                    matrix.update(i, bundles[i] | 1 << e, {i: 0})
                     pool &= ~(1 << e)
                     counters["adds"] += 1
                     tr.emit("add", item=e, agent=i)
@@ -181,7 +189,7 @@ def phase2(
                     counters["merges"] += 1
                     tr.emit("merge", item=e, agent=i, absorbed=j)
                 else:
-                    matrix.update(i, bundles[i] | 1 << e)
+                    matrix.update(i, bundles[i] | 1 << e, {i: steps[i]})
                     pool &= ~(1 << e)
                     counters["takes"] += 1
                     tr.emit("take", item=e, agent=i)

@@ -3,18 +3,20 @@ the epilogue that re-proves a solver's tag before it returns."""
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from ..costs import (
     CostFunction,
     Table,
     _check_additive,
     _check_cancelable,
+    _check_mask,
     _check_submodular,
-    evaluate,
     is_binary_marginal,
-    marginal,
     value_table,
 )
-from ..errors import InternalInvariantError, WrongClassError
+from ..costs import _marginal as marginal
+from ..errors import InternalInvariantError, InvalidInputError, WrongClassError
 from ..fairness import Allocation
 from ..instances import CLASS_RANK, Instance, kind_guarantees
 from ..itemset import ItemSet
@@ -124,8 +126,34 @@ class Trace:
             self.events.append({"event": event, **data})
 
 
+def check_items(m: int, masks: Iterable[ItemSet]) -> None:
+    """Refuse item sets out of range for a ground set of size ``m`` or
+    overlapping one another.
+
+    The solver loops call it once on the sets a caller hands them; every
+    query they ask afterwards goes through :class:`OpCounter` unchecked.
+    """
+    seen = 0
+    for mask in masks:
+        _check_mask(m, mask)
+        if seen & mask:
+            raise InvalidInputError(f"item set {bin(mask)} overlaps another given item set")
+        seen |= mask
+
+
+def evaluate(fn: CostFunction, mask: ItemSet) -> int:
+    """c(mask) with no range check: the counted path's price primitive."""
+    return fn.value(mask)
+
+
 class OpCounter:
-    """Counts cost-oracle queries, the unit reported by the benchmarks."""
+    """Counts cost-oracle queries, the unit reported by the benchmarks.
+
+    Both methods call this module's unchecked ``evaluate`` and ``marginal``
+    (the closed form, or the value difference for a protocol object without
+    one), looked up per call so that a wrapper put on those names afterwards
+    still sees every counted query.  Masks are the caller's to validate.
+    """
 
     __slots__ = ("evals",)
 
@@ -141,4 +169,4 @@ class OpCounter:
         return marginal(fn, item, mask)
 
 
-__all__ = ["VERIFY_MAX_M", "ensure_class", "finish", "Trace", "OpCounter"]
+__all__ = ["VERIFY_MAX_M", "ensure_class", "finish", "check_items", "Trace", "OpCounter"]

@@ -18,7 +18,7 @@ from ..fairness import CostMatrix, find_cycle_through_edge, tail_scc
 from ..instances import Instance
 from ..itemset import ItemSet, full_set, iter_items, lowest, size
 from ..reports import GuaranteeTag, SolveReport
-from .common import OpCounter, Trace, ensure_class, finish
+from .common import OpCounter, Trace, check_items, ensure_class, finish
 
 
 def run_envy_loop(
@@ -39,8 +39,9 @@ def run_envy_loop(
     order, shortest cycle), then the batch hand-out to the equality
     component containing the lowest agent, or termination when items run
     out.  The cost matrix behind the equality graph is re-priced only for
-    the bundles an iteration changed.  ``debug`` re-checks envy-freeness
-    and the maintained matrix against a fresh build after every iteration.
+    the bundles an iteration changed, and a bundle that grew by one item
+    from one marginal per agent.  ``debug`` re-checks envy-freeness and the
+    maintained matrix against a fresh build after every iteration.
 
     Marginal queries are memoised per call: ``unit[(i, B)]`` holds the
     items whose marginal for agent i on bundle B is known to be exactly 1.
@@ -48,7 +49,15 @@ def run_envy_loop(
     entry stays exact when bundles rotate between agents and as the pool
     shrinks.  Every rule skips the items it lists, and a zero answer
     places its item, changing the bundle, so with binary marginals each
-    (agent, bundle, item) marginal is queried at most once.
+    (agent, bundle, item) marginal is queried at most once.  The matrix's
+    one-item re-prices keep that promise: the units the memo holds, and
+    rule 1's zero for the placing agent, are handed to ``update`` rather
+    than asked again, and the marginals it does ask are on a bundle that
+    no rule will see again.
+
+    ``bundles`` and ``pool`` must be disjoint item sets of the instance's
+    ground set; they are checked once here, and the loop asks its queries
+    through ``ops`` unchecked.
 
     A whole pool is certified unit with one price.  For a cost whose
     marginals are at most 1 (the class gate proves this of every agent), if
@@ -69,7 +78,8 @@ def run_envy_loop(
     for key in ("iterations", "zero_placements", "rotations", "batches"):
         counters.setdefault(key, 0)
     n, m = inst.n, inst.m
-    matrix = CostMatrix(inst.agents, bundles, ops.evaluate)
+    check_items(m, [*bundles, pool])
+    matrix = CostMatrix(inst.agents, bundles, ops)
     unit: dict[tuple[int, ItemSet], ItemSet] = {}
 
     def lowest_free(i: int, j: int, pool: ItemSet, zero_only: bool = True) -> int | None:
@@ -109,6 +119,7 @@ def run_envy_loop(
                 f"placement loop still running after {m + 1} iterations"
             )
         touched: list[int] = []
+        known: dict[int, int] = {}
         for i in range(n):
             e = lowest_free(i, i, pool)
             if e is not None:
@@ -117,6 +128,7 @@ def run_envy_loop(
                 counters["zero_placements"] += 1
                 tr.emit("zero-marginal", item=e, agent=i)
                 touched = [i]
+                known[i] = 0
                 break
 
         if not touched:
@@ -166,7 +178,9 @@ def run_envy_loop(
             touched = component
 
         for j in touched:
-            matrix.update(j, bundles[j])
+            old = matrix.bundles[j]
+            steps = {k: 1 for k in range(n) if unit.get((k, old), 0) & bundles[j]}
+            matrix.update(j, bundles[j], steps | known)
         if debug:
             matrix.check_against_rebuild()
             viols = matrix.ef_violations(1)

@@ -31,7 +31,7 @@ def compute_m1(inst: Instance) -> ItemSet:
 def _compute_m1(inst: Instance, ops: OpCounter) -> ItemSet:
     mask = 0
     for e in range(inst.m):
-        if all(ops.evaluate(fn, 1 << e) == 1 for fn in inst.agents):
+        if all(ops.marginal(fn, e, 0) == 1 for fn in inst.agents):
             mask |= 1 << e
     return mask
 
@@ -88,7 +88,7 @@ def solve_submodular(
         for k, e in enumerate(leftovers):
             bundles[k] |= 1 << e
             tr.emit("leftover", item=e, agent=k)
-        matrix = CostMatrix(inst.agents, bundles, ops.evaluate)
+        matrix = CostMatrix(inst.agents, bundles, ops)
         for i, row in enumerate(matrix.cost):
             for j, price in enumerate(row):
                 if price < 1:

@@ -6,7 +6,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chorefair.costs import Additive, PartitionMatroidRank, Threshold, evaluate
+from chorefair.costs import (
+    Additive,
+    CappedAdditive,
+    Cardinality,
+    PartitionMatroidRank,
+    Threshold,
+    evaluate,
+    marginal,
+    residual,
+)
 from chorefair.errors import InternalInvariantError, InvalidInputError, UnsupportedSizeError
 from chorefair.fairness import (
     Allocation,
@@ -26,6 +35,7 @@ from chorefair.fairness import (
     tail_scc,
 )
 from chorefair.instances import Instance, builtin
+from chorefair.solvers.common import OpCounter
 from helpers import random_monotone_table
 
 
@@ -124,23 +134,49 @@ def test_cost_matrix_checks():
     assert viols == [Violation("ef", 0, 1, None)]
 
 
-def test_cost_matrix_entries_and_queries():
-    funcs = (Additive((1, 1, 0)), Additive((1, 0, 1)))
-    calls = []
+class RecordingQueries:
+    """Matrix queries answered by the checked free functions, each recorded."""
 
-    def query(fn, mask):
-        calls.append(mask)
+    def __init__(self):
+        self.calls = []
+
+    def evaluate(self, fn, mask):
+        self.calls.append(("evaluate", mask))
         return evaluate(fn, mask)
 
-    matrix = CostMatrix(funcs, [0b011, 0b100], query)
+    def marginal(self, fn, item, mask):
+        self.calls.append(("marginal", item, mask))
+        return marginal(fn, item, mask)
+
+
+def test_cost_matrix_entries_and_queries():
+    funcs = (Additive((1, 1, 0)), Additive((1, 0, 1)))
+    ops = RecordingQueries()
+    calls = ops.calls
+    matrix = CostMatrix(funcs, [0b011, 0b100], ops)
     assert matrix.cost == [[2, 0], [1, 1]]
-    assert len(calls) == 4
+    assert calls == [("evaluate", 0b011), ("evaluate", 0b100)] * 2
+    # each item drop is the price less one marginal
     assert matrix.worst_drop(0) == 1 and matrix.worst_drop(1) == 0
+    assert calls[4:] == [("marginal", 0, 0b010), ("marginal", 1, 0b001), ("marginal", 2, 0)]
+    # a one-item growth asks one marginal per row on the old bundle
     matrix.update(1, 0b110)
     assert matrix.bundles == [0b011, 0b110]
     assert matrix.cost == [[2, 1], [1, 1]]
-    assert calls[-2:] == [0b110, 0b110]
+    assert calls[7:] == [("marginal", 1, 0b100)] * 2
     assert matrix.graph().edges == frozenset({(1, 0)})
+    # any other change re-prices the bundle whole
+    matrix.update(0, 0b001)
+    assert calls[9:] == [("evaluate", 0b001)] * 2
+    # a step the caller passes in is not asked
+    matrix.update(0, 0b011, {0: 1})
+    assert calls[11:] == [("marginal", 1, 0b001)]
+    assert matrix.cost == [[2, 1], [1, 1]]
+    matrix.check_against_rebuild()
+    # the default queries refuse a grown set out of range as a price would
+    message = "item set 0b1110 out of range for ground set of size 3"
+    with pytest.raises(InvalidInputError, match=message):
+        CostMatrix(funcs, [0b011, 0b110]).update(1, 0b1110)
     with pytest.raises(InvalidInputError):
         CostMatrix(funcs, [0b111])
 
@@ -165,15 +201,27 @@ def _naive_is_efx(funcs, bundles):
     return True
 
 
-def _random_cost_function(m, rng):
-    """One of the four shapes a matrix sees: additive, threshold, an
-    explicit monotone table (marginals up to 2) or a partition matroid."""
-    kind = rng.randrange(4)
+class ValueOnly:
+    """A protocol cost function without ``marginal``: its marginals are
+    answered by value differences."""
+
+    def __init__(self, fn):
+        self.m = fn.m
+        self.value = fn.value
+
+
+def _random_descriptor(m, rng):
+    """Any descriptor kind; tables may have marginals up to 2."""
+    kind = rng.randrange(6)
     if kind == 0:
         return Additive(tuple(rng.randint(0, 1) for _ in range(m)))
     if kind == 1:
-        return Threshold(k=rng.randint(0, m), m=m)
+        return CappedAdditive(tuple(rng.randint(0, 1) for _ in range(m)), cap=rng.randint(0, m))
     if kind == 2:
+        return Cardinality(cap=rng.randint(0, m), m=m)
+    if kind == 3:
+        return Threshold(k=rng.randint(0, m), m=m)
+    if kind == 4:
         return random_monotone_table(m, rng, steps=(0, 0, 1, 2))
     items = list(range(m))
     rng.shuffle(items)
@@ -182,41 +230,84 @@ def _random_cost_function(m, rng):
     return PartitionMatroidRank(tuple(groups), tuple(rng.randint(0, 3) for _ in groups))
 
 
+def _random_cost_function(m, rng, base):
+    """Every shape a matrix sees: a descriptor, a residual view of one on
+    ``base``, or a protocol object without ``marginal``."""
+    fn = _random_descriptor(m, rng)
+    shape = rng.randrange(3)
+    if shape == 1:
+        return residual(fn, base)
+    if shape == 2:
+        return ValueOnly(fn)
+    return fn
+
+
 @given(
     st.integers(min_value=1, max_value=4),
     st.integers(min_value=0, max_value=7),
     st.integers(min_value=0, max_value=2**32 - 1),
+    st.booleans(),
     st.lists(
-        st.tuples(st.integers(0, 3), st.integers(0, 7), st.integers(0, 3)), max_size=12
+        st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 7), st.integers(0, 3)),
+        max_size=12,
     ),
 )
-def test_cost_matrix_updates_match_fresh_build(n, m, seed, moves):
+def test_cost_matrix_updates_match_fresh_build(n, m, seed, counted, moves):
+    # one-item growths (re-priced from marginals, some steps passed in),
+    # multi-item growths, removals, replacements and swaps, asked through
+    # the checked default queries or a solver's unchecked counted ones
     rng = random.Random(seed)
-    funcs = [_random_cost_function(m, rng) for _ in range(n)]
-    owners = [rng.randrange(n + 1) for _ in range(m)]  # n means unallocated
+    base = sum(1 << e for e in range(m) if rng.random() < 0.25)  # never allocated
+    funcs = [_random_cost_function(m, rng, base) for _ in range(n)]
+    # owner n is the unallocated pool, n + 1 the residual views' base
+    owners = [n + 1 if base >> e & 1 else rng.randrange(n + 1) for e in range(m)]
     bundles = [sum(1 << e for e, o in enumerate(owners) if o == i) for i in range(n)]
-    matrix = CostMatrix(funcs, bundles)
-    for agent, item, width in moves:
+    matrix = CostMatrix(funcs, bundles, OpCounter() if counted else None)
+
+    def give(agent, items):
+        old = bundles[agent]
+        for e in items:
+            owners[e] = agent
+            bundles[agent] |= 1 << e
+        known = None
+        if len(items) == 1 and old and rng.random() < 0.5:
+            known = {
+                k: marginal(fn, items[0], old) for k, fn in enumerate(funcs) if rng.random() < 0.5
+            }
+        matrix.update(agent, bundles[agent], known)
+
+    for op, agent, item, width in moves:
         agent %= n
-        if item >= m:
-            pass
-        elif width:
-            # agent takes every unallocated item in item .. item + width - 1
-            grab = [e for e in range(item, min(item + width, m)) if owners[e] == n]
-            for e in grab:
+        pool = [e for e in range(m) if owners[e] == n]
+        if op == 0:
+            # agent takes the unallocated items in item .. item + width
+            give(agent, [e for e in pool if item <= e <= item + width])
+        elif op == 1:
+            # item goes back to the pool
+            if item < m and owners[item] < n:
+                holder = owners[item]
+                owners[item] = n
+                bundles[holder] &= ~(1 << item)
+                matrix.update(holder, bundles[holder])
+        elif op == 2:
+            # agent swaps bundles with another
+            other = (agent + item) % n
+            for e in range(m):
+                if owners[e] in (agent, other):
+                    owners[e] = agent + other - owners[e]
+            bundles[agent], bundles[other] = bundles[other], bundles[agent]
+            matrix.update(agent, bundles[agent])
+            matrix.update(other, bundles[other])
+        else:
+            # agent's bundle is replaced by up to width + 1 unallocated items
+            for e in range(m):
+                if owners[e] == agent:
+                    owners[e] = n
+            bundles[agent] = 0
+            for e in [e for e in pool if e >= item][: width + 1]:
                 owners[e] = agent
                 bundles[agent] |= 1 << e
             matrix.update(agent, bundles[agent])
-        else:
-            # move item to agent's bundle, or back to the pool if she has it
-            holder = owners[item]
-            if holder < n:
-                bundles[holder] &= ~(1 << item)
-                matrix.update(holder, bundles[holder])
-            owners[item] = n if holder == agent else agent
-            if holder != agent:
-                bundles[agent] |= 1 << item
-                matrix.update(agent, bundles[agent])
         fresh = CostMatrix(funcs, bundles)
         assert matrix.bundles == bundles
         assert matrix.cost == fresh.cost

@@ -1,12 +1,13 @@
 import pytest
 
 from chorefair.costs import Additive, Table
-from chorefair.errors import WrongClassError
+from chorefair.errors import InternalInvariantError, WrongClassError
 from chorefair.fairness import is_alpha_efx, is_po_bruteforce, social_cost
 from chorefair.instances import Instance, builtin, generate
 from chorefair.itemset import size
 from chorefair.reports import GuaranteeTag
-from chorefair.solvers import partition_items, solve_additive
+from chorefair.solvers import additive, partition_items, solve_additive
+from chorefair.solvers.additive import ItemPartition
 from helpers import cap7_pair
 
 
@@ -129,3 +130,31 @@ def test_determinism():
     a = solve_additive(inst).allocation
     b = solve_additive(inst).allocation
     assert a == b
+
+
+def test_debug_cross_checks_derived_drops_through_reassignments(monkeypatch):
+    # the worst drop after each placement is derived from the price, and
+    # debug compares it (and every re-price) with uncounted fresh queries
+    inst = generate("binary_additive", 2, 12, seed=2)
+    report = solve_additive(inst, debug=True)
+    assert report.counters["reassignments"] > 0
+    assert report.allocation == solve_additive(inst).allocation
+    # a derivation blind to the free items is caught
+    split = additive._partition
+
+    def blind(inst, ops):
+        part, holder = split(inst, ops)
+        return ItemPartition(m_zero=0, m_plus=part.m_plus), holder
+
+    monkeypatch.setattr(additive, "_partition", blind)
+    with pytest.raises(InternalInvariantError, match="worst drop"):
+        solve_additive(inst, debug=True)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_large_instance_query_budget(seed):
+    # O(1) worst drops and one singleton query per free item: a few
+    # queries per item, where re-pricing every drop took about 8k here
+    inst = generate("binary_additive", 3, 400, seed=seed)
+    report = solve_additive(inst)
+    assert report.counters["evals"] <= 2 * inst.n * inst.m

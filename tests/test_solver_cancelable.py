@@ -1,7 +1,7 @@
 import pytest
 
 from chorefair.costs import Additive, Cardinality, Table, residual
-from chorefair.errors import InternalInvariantError, WrongClassError
+from chorefair.errors import InternalInvariantError, InvalidInputError, WrongClassError
 from chorefair.fairness import CostMatrix, is_alpha_efx, is_po_bruteforce
 from chorefair.instances import Instance, builtin, generate
 from chorefair.reports import GuaranteeTag
@@ -152,3 +152,11 @@ def test_capped_additive_query_budget():
     report = solve_cancelable(generate("capped_additive", 10, 300, 5))
     assert report.counters["adds"] == 299
     assert report.counters["evals"] < 6_000
+
+
+@pytest.mark.parametrize("remaining", [0b10000, -1])
+def test_phase2_refuses_a_remaining_set_out_of_range(remaining):
+    # the loop's queries go unchecked, so the entry point checks the set
+    views = [Cardinality(cap=2, m=4), Cardinality(cap=3, m=4)]
+    with pytest.raises(InvalidInputError, match="out of range for ground set of size 4"):
+        phase2(views, remaining, 2)

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chorefair.costs import Table, Threshold, evaluate, marginal
-from chorefair.errors import InternalInvariantError, WrongClassError
+from chorefair.errors import InternalInvariantError, InvalidInputError, WrongClassError
 from chorefair.fairness import is_alpha_ef
 from chorefair.instances import Instance, generate
 from chorefair.itemset import full_set, iter_items, size
@@ -182,3 +182,19 @@ def test_debug_catches_a_certificate_fooled_by_a_non_binary_cost():
         solve_general(inst)
     with pytest.raises(InternalInvariantError, match="unit-pool certificate"):
         run_envy_loop(inst, [0], full_set(3), debug=True)
+
+
+@pytest.mark.parametrize(
+    "bundles, pool, message",
+    [
+        ([0b10000, 0], 0b0001, "out of range for ground set of size 4"),
+        ([0, 0], 0b11111, "out of range for ground set of size 4"),
+        ([0b0011, 0b0010], 0b0100, "overlaps"),
+        ([0b0001, 0], 0b0011, "overlaps"),
+    ],
+    ids=["bundle-out-of-range", "pool-out-of-range", "bundles-overlap", "pool-overlaps"],
+)
+def test_run_envy_loop_refuses_bad_item_sets(bundles, pool, message):
+    # the loop's queries go unchecked, so the entry point checks the sets
+    with pytest.raises(InvalidInputError, match=message):
+        run_envy_loop(thresholds(2, 4, k=1), bundles, pool)

@@ -88,7 +88,7 @@ def test_single_agent_builtin_frozen_counters():
         "zero_placements": 1,
         "rotations": 0,
         "batches": 2,
-        "evals": 13,
+        "evals": 10,
     }
 
 
