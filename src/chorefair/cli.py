@@ -10,6 +10,7 @@ to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -43,14 +44,37 @@ from .solvers import SOLVERS, solve_auto
 log = logging.getLogger("chorefair")
 
 
+class _StderrHandler(logging.StreamHandler):
+    """Writes each record to the ``sys.stderr`` current when it is emitted,
+    so a caller that swaps the stream between calls gets its own output."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+    @stream.setter
+    def stream(self, value) -> None:
+        pass
+
+
+_HANDLER = _StderrHandler()
+
+
 def _setup_logging() -> None:
+    """Apply ``CHOREFAIR_LOG`` to the ``chorefair`` loggers; read on every
+    call, with one handler per process."""
     name = os.environ.get("CHOREFAIR_LOG", "").strip().upper()
     level = getattr(logging, name, None) if name else logging.WARNING
     if not isinstance(level, int):
         level = logging.WARNING
-    logging.basicConfig(
-        level=level, stream=sys.stderr, format="%(levelname)s %(name)s: %(message)s"
-    )
+    log.setLevel(level)
+    if _HANDLER not in log.handlers:
+        log.addHandler(_HANDLER)
+        log.propagate = False
 
 
 def _load_target(args: argparse.Namespace) -> Instance:
@@ -511,9 +535,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by every later call;
+    argparse looks up ``sys.stdout``/``sys.stderr`` only when it prints."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     _setup_logging()
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ChoreFairError as exc:

@@ -257,8 +257,13 @@ class Table:
         # Dropping any single element must not increase the value; steps of
         # more than 1 are legal but mark the table as non-binary.  Values
         # too large for int64 differences are compared as Python ints.
-        small = -(1 << 62) <= min(values) and max(values) < 1 << 62
-        v = np.array(values, dtype=np.int64 if small else object)
+        try:
+            v = np.array(values, dtype=np.int64)
+            small = -(1 << 62) <= v.min() and v.max() < 1 << 62
+        except OverflowError:
+            small = False
+        if not small:
+            v = np.array(values, dtype=object)
         binary, monotone = _check_marginals(self.m, v, {})
         if not monotone:
             mask, e = _first_rise(self.m, v)
@@ -520,25 +525,27 @@ def is_binary_marginal(fn: CostFunction) -> bool:
     return _check_marginals(fn.m, v, {})[0]
 
 
+def _low_mask(pos: int, e: int) -> int:
+    """The mask at flat position ``pos`` of ``v.reshape(-1, 2, 1 << e)[:, 0]``:
+    the pos-th set avoiding item e, in ascending order."""
+    return (pos >> e) << (e + 1) | pos & ((1 << e) - 1)
+
+
 def _check_marginals(m: int, v: np.ndarray, witnesses: dict[str, Witness]) -> tuple[bool, bool]:
-    idx = np.arange(1 << m, dtype=np.int64)
     binary = monotone = True
     for e in range(m):
         bit = 1 << e
-        lo = idx[(idx & bit) == 0]
-        marg = v[lo | bit] - v[lo]
-        if monotone:
-            bad = marg < 0
-            if bad.any():
-                s = int(lo[int(np.argmax(bad))])
-                witnesses["monotone"] = (s, s | bit, e)
-                monotone = False
-        if binary:
-            bad = (marg < 0) | (marg > 1)
-            if bad.any():
-                s = int(lo[int(np.argmax(bad))])
-                witnesses["binary_marginal"] = (s, s | bit, e)
-                binary = False
+        w = v.reshape(-1, 2, bit)
+        marg = w[:, 1] - w[:, 0]
+        low, high = marg.min(), marg.max()
+        if monotone and low < 0:
+            s = _low_mask(int(np.argmax(marg < 0)), e)
+            witnesses["monotone"] = (s, s | bit, e)
+            monotone = False
+        if binary and (low < 0 or high > 1):
+            s = _low_mask(int(np.argmax((marg < 0) | (marg > 1))), e)
+            witnesses["binary_marginal"] = (s, s | bit, e)
+            binary = False
         if not binary and not monotone:
             break
     return binary, monotone
@@ -583,14 +590,26 @@ def _check_cancelable(m: int, v: np.ndarray, witnesses: dict[str, Witness]) -> b
     exists iff some group's after-adding-e values are not constant over
     equal base values, or the running maximum over strictly smaller base
     values exceeds a later group's minimum.  This covers arbitrary integer
-    values, not just binary marginals.
+    values, not just binary marginals.  When every step c(S+e) - c(S) is 0
+    or 1, a smaller base ends no higher than a larger one, so a violation
+    needs two equal bases with steps 1 and 0; one count of (base, step)
+    pairs rules that out, and only an item it does not clear is sorted.
     """
-    idx = np.arange(1 << m, dtype=np.int64)
+    # int64 differences of values below 2^62 in size cannot wrap
+    counted = v.dtype != object and -(1 << 62) < v.min() and v.max() < 1 << 62
     for e in range(m):
         bit = 1 << e
-        lo = idx[(idx & bit) == 0]
-        base = v[lo]
-        after = v[lo | bit]
+        w = v.reshape(-1, 2, bit)
+        base = w[:, 0].ravel()
+        after = w[:, 1].ravel()
+        if counted:
+            step = after - base
+            low = int(base.min())
+            span = int(base.max()) - low + 1
+            if span <= 4 * base.size and step.min() >= 0 and step.max() <= 1:
+                pairs = np.bincount((base - low) * 2 + step, minlength=2 * span)
+                if not pairs.reshape(-1, 2).min(axis=1).any():
+                    continue
         order = np.argsort(base, kind="stable")
         sb, sa = base[order], after[order]
         starts = np.flatnonzero(np.r_[True, sb[1:] != sb[:-1]])
@@ -602,14 +621,12 @@ def _check_cancelable(m: int, v: np.ndarray, witnesses: dict[str, Witness]) -> b
             continue
         g = int(np.argmax(viol))
         ends = np.r_[starts[1:], len(sa)]
-        lo_sorted = lo[order]
         t_pos = starts[g] + int(np.argmin(sa[starts[g]:ends[g]]))
-        t_mask = int(lo_sorted[t_pos])
+        t_mask = _low_mask(int(order[t_pos]), e)
         limit = int(sa[t_pos])
         # any earlier-or-equal base value whose after-value beats T's works
         s_candidates = np.flatnonzero(sa[: ends[g]] > limit)
-        s_pos = int(s_candidates[0])
-        s_mask = int(lo_sorted[s_pos])
+        s_mask = _low_mask(int(order[int(s_candidates[0])]), e)
         witnesses["cancelable"] = (s_mask, t_mask, e)
         return False
     return True
@@ -618,18 +635,17 @@ def _check_cancelable(m: int, v: np.ndarray, witnesses: dict[str, Witness]) -> b
 def _check_submodular(m: int, v: np.ndarray, witnesses: dict[str, Witness]) -> bool:
     # Pairwise local condition: c(e | S) >= c(e | S + f) for all S, e != f
     # outside S.  This is equivalent to diminishing marginals over nested
-    # sets by induction along a chain from S to T.
-    idx = np.arange(1 << m, dtype=np.int64)
+    # sets by induction along a chain from S to T.  Axes of the view: items
+    # above f, f, items between e and f, e, items below e.
     for e in range(m):
         be = 1 << e
         for f in range(e + 1, m):
             bf = 1 << f
-            base = idx[(idx & (be | bf)) == 0]
-            lhs = v[base | be] + v[base | bf]
-            rhs = v[base | be | bf] + v[base]
-            bad = lhs < rhs
+            w = v.reshape(-1, 2, 1 << (f - e - 1), 2, be)
+            bad = w[:, 0, :, 1] + w[:, 1, :, 0] < w[:, 1, :, 1] + w[:, 0, :, 0]
             if bad.any():
-                s = int(base[int(np.argmax(bad))])
+                pos = int(np.argmax(bad))
+                s = (pos >> (f - 1)) << (f + 1) | _low_mask(pos & ((1 << (f - 1)) - 1), e)
                 # adding f enlarged e's marginal (or vice versa)
                 if v[s | be] - v[s] < v[s | be | bf] - v[s | bf]:
                     witnesses["submodular"] = (s, s | bf, e)

@@ -295,6 +295,8 @@ def efx_exists_search(
     question, so it must never vanish into a log.
     """
     total = _check_size(inst, limit)
+    if chunk < 1:
+        raise InvalidInputError("chunk size must be positive")
     n, m = inst.n, inst.m
     tables = _ScanTables.build(inst)
     witness: Allocation | None = None

@@ -13,12 +13,14 @@ from enum import Enum
 from typing import Callable, NamedTuple
 
 from . import fairness
+from .costs import Additive, Table, _check_additive, value_table
 from .fairness import Allocation
 from .instances import Instance
 from .itemset import size
 
 # Above this many complete allocations, Pareto optimality is not scanned
-# by brute force; an efx+po tag then rests on the social-cost minimum.
+# by brute force; unless the instance is proved binary additive, an efx+po
+# tag then rests on the social-cost minimum.
 PO_SCAN_LIMIT = 10**6
 
 
@@ -119,29 +121,59 @@ class SolveReport:
         }
 
 
+def _binary_additive(inst: Instance) -> bool:
+    """Every agent is proved additive with item costs in {0, 1}: by its
+    kind, or as a binary-marginal table that passes the exhaustive test."""
+    return all(
+        isinstance(fn, Additive)
+        or (
+            isinstance(fn, Table)
+            and fn.binary_marginal
+            and _check_additive(fn.m, value_table(fn), {})
+        )
+        for fn in inst.agents
+    )
+
+
+def _po_at_floor(inst: Instance, alloc: Allocation) -> bool:
+    """Pareto optimality under binary additive costs.  An allocation at the
+    floor has the least social cost, which any Pareto improvement would
+    lower; one above it gives some item to an agent paying 1 for it while
+    another pays 0, and moving it there is a Pareto improvement."""
+    return alloc.complete and fairness.social_cost(inst, alloc) == _additive_floor(inst)
+
+
 def certify(inst: Instance, report: SolveReport) -> Certificate:
     """Re-prove every property the report's tag promises, from the instance
     and the allocation alone.
 
     Never raises on a failed property; the certificate records it.  Pareto
-    optimality is scanned by brute force when n^m <= PO_SCAN_LIMIT; above
-    that an efx+po tag gets a note instead, since the social-cost minimum
-    certifies it under additive costs.
+    optimality is decided exactly from the social-cost floor when every
+    agent is proved binary additive, at every size; otherwise it is scanned
+    by brute force when n^m <= PO_SCAN_LIMIT, and above that an efx+po tag
+    gets a note instead.
     """
     alloc = report.allocation
     promise = TAG_CHECKS[report.guarantee]
-    scan_po = inst.n**inst.m <= PO_SCAN_LIMIT
+    po: bool | None = None
+    if "po" in promise.checks or promise.po_note:
+        if _binary_additive(inst):
+            po = _po_at_floor(inst, alloc)
+        elif inst.n**inst.m <= PO_SCAN_LIMIT:
+            po = CHECKS["po"](inst, alloc)
     checks: dict[str, bool] = {}
     notes: list[str] = []
     for name in promise.checks:
-        if name == "po" and not scan_po:
+        if name != "po":
+            checks[name] = CHECKS[name](inst, alloc)
+        elif po is not None:
+            checks[name] = po
+        else:
             notes.append(
                 "po confirmed via the social-cost minimum; ground set too "
                 "large for the brute-force scan"
             )
-        else:
-            checks[name] = CHECKS[name](inst, alloc)
-    if promise.po_note and scan_po and not CHECKS["po"](inst, alloc):
+    if promise.po_note and po is False:
         notes.append("not PO")
     return Certificate(tag=report.guarantee, checks=checks, notes=tuple(notes))
 

@@ -1,18 +1,31 @@
 """One route for re-proving a guarantee tag: ``certify`` and the solver epilogue."""
 
 import json
+import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from chorefair import fairness
 from chorefair.cli import main
+from chorefair.costs import Table, value_table
 from chorefair.errors import ChoreFairError, InternalInvariantError
-from chorefair.fairness import Allocation
-from chorefair.instances import BUILTIN_NAMES, builtin, generate, serialize_instance
+from chorefair.fairness import Allocation, is_po_bruteforce
+from chorefair.instances import (
+    BUILTIN_NAMES,
+    Instance,
+    builtin,
+    generate,
+    serialize_instance,
+)
 from chorefair.reports import (
     PO_SCAN_LIMIT,
     TAG_CHECKS,
     GuaranteeTag,
     SolveReport,
+    _binary_additive,
+    _po_at_floor,
     certify,
 )
 from chorefair.solvers import solve_auto
@@ -44,15 +57,78 @@ def test_certificate_records_each_promised_property():
     assert scaled.passed and scaled.checks == {"complete": True, "2-ef": True, "2-efx": True}
 
 
-def test_false_efx_po_split_fails_exactly_po():
+def test_false_efx_po_split_fails_exactly_po(monkeypatch):
     # the 7/6 split is EFX and meets the additive social-cost floor, but
-    # handing everything to one agent costs 7 in total against its 13
+    # handing everything to one agent costs 7 in total against its 13; the
+    # tables are not additive, so the floor decides nothing and PO is scanned
     inst = cap7_pair()
+    assert not _binary_additive(inst)
+    scans = []
+    scan = fairness.is_po_bruteforce
+    monkeypatch.setattr(fairness, "is_po_bruteforce", lambda *a: scans.append(1) or scan(*a))
     seven = (1 << 7) - 1
     split = Allocation(n=2, m=13, bundles=(seven, ((1 << 13) - 1) ^ seven))
     cert = certify(inst, tagged(split, GuaranteeTag.EFX_AND_PO))
     assert cert.failures == ["po"]
+    assert scans == [1]
     assert certify(inst, tagged(split, GuaranteeTag.EFX)).notes == ("not PO",)
+
+
+def _as_tables(inst: Instance) -> Instance:
+    agents = tuple(
+        Table(m=inst.m, values=tuple(int(x) for x in value_table(fn))) for fn in inst.agents
+    )
+    return Instance(n=inst.n, m=inst.m, agents=agents, declared_class="additive")
+
+
+def _floor_agrees_with_the_scan(n, m, seed, owner, tables):
+    """Decide PO both ways on one allocation; returns the common verdict."""
+    inst = generate("binary_additive", n, m, seed=seed)
+    if tables:
+        inst = _as_tables(inst)
+    assert _binary_additive(inst)
+    bundles = tuple(sum(1 << e for e in range(m) if owner[e] == i) for i in range(n))
+    alloc = Allocation(n=n, m=m, bundles=bundles)
+    po = is_po_bruteforce(inst, alloc)[0]
+    assert _po_at_floor(inst, alloc) == po
+    return po
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.integers(0, 7).flatmap(
+                lambda m: st.lists(st.integers(0, n - 1), min_size=m, max_size=m)
+            ),
+        )
+    ),
+    st.integers(0, 10**6),
+    st.booleans(),
+)
+def test_floor_decides_po_as_the_scan_does(case, seed, tables):
+    n, owner = case
+    _floor_agrees_with_the_scan(n, len(owner), seed, owner, tables)
+
+
+def test_floor_decides_po_as_the_scan_does_on_a_seeded_sweep():
+    rng = random.Random(5)
+    verdicts = set()
+    for k in range(300):
+        n, m = rng.randint(1, 4), rng.randint(0, 7)
+        owner = [rng.randrange(n) for _ in range(m)]
+        verdicts.add(_floor_agrees_with_the_scan(n, m, k, owner, tables=k % 2 == 1))
+    assert verdicts == {True, False}
+
+
+def test_only_proved_binary_additive_agents_skip_the_scan():
+    additive = generate("binary_additive", 1, 2, seed=0).agents[0]
+    unit = Table(m=2, values=(0, 1, 1, 1))  # binary marginals, not additive
+    wide = Table(m=2, values=(0, 2, 0, 2))  # additive, item 0 costs 2
+    assert _binary_additive(_as_tables(generate("binary_additive", 2, 2, seed=0)))
+    for other in (unit, wide):
+        inst = Instance(n=2, m=2, agents=(additive, other), declared_class="general")
+        assert not _binary_additive(inst)
 
 
 def test_certify_never_raises_on_a_failed_property():
@@ -64,17 +140,16 @@ def test_certify_never_raises_on_a_failed_property():
     assert cert.checks["leftover-at-most-n-minus-1"] is False
 
 
-def test_po_beyond_the_scan_limit_is_a_note():
+def test_po_beyond_the_scan_limit_is_decided_at_the_floor():
+    # binary additive agents: PO is decided from the social-cost floor,
+    # exactly, past the brute-force scan's limit too
     inst = generate("binary_additive", 3, 13, seed=2)
     assert inst.n**inst.m > PO_SCAN_LIMIT
     report = solve_auto(inst, verify=True)
     cert = report.verification
     assert report.guarantee is GuaranteeTag.EFX_AND_PO
-    assert cert.passed and "po" not in cert.checks
-    assert cert.notes == (
-        "po confirmed via the social-cost minimum; ground set too large for "
-        "the brute-force scan",
-    )
+    assert cert.passed and cert.checks["po"] is True
+    assert cert.notes == ()
 
 
 def test_epilogue_names_the_first_failed_check():

@@ -1,5 +1,6 @@
 import io
 import json
+import logging
 import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chorefair import cli
 from chorefair.cli import main
 from chorefair.costs import Cardinality, Table
 from chorefair.instances import Instance, builtin, load_instance, serialize_instance
@@ -412,6 +414,62 @@ class TestPlumbing:
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--builtin", "mystery"])
         assert exc.value.code == 2
+
+    def test_log_level_is_read_on_every_call(self, capsys, tmp_path, monkeypatch):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{")
+        monkeypatch.delenv("CHOREFAIR_LOG", raising=False)
+        code, out, err = run(capsys, "solve", "--input", str(bad))
+        assert code == 2 and "traceback" not in err
+        monkeypatch.setenv("CHOREFAIR_LOG", "debug")
+        code, out, err = run(capsys, "solve", "--input", str(bad))
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "DEBUG chorefair: traceback" in err
+        monkeypatch.delenv("CHOREFAIR_LOG")
+        code, out, err = run(capsys, "solve", "--input", str(bad))
+        assert code == 2 and "traceback" not in err
+        assert len(logging.getLogger("chorefair").handlers) == 1
+
+    def test_one_parser_serves_every_subcommand(self, capsys, tmp_path):
+        path = write_instance(tmp_path, builtin("cancelable-cap5-n2"))
+        alloc = write_allocation(tmp_path, [[0, 2, 4, 6, 8], [1, 3, 5, 7, 9]])
+        written = tmp_path / "written.json"
+        calls = [
+            ["solve", "--input", path, "--output", str(written), "--json"],
+            ["solve", "--input", path],
+            ["verify", "--input", path, "--allocation", alloc, "--criteria", "ef,po"],
+            ["check-class", "--builtin", "ternary-no-efxpo", "--json"],
+            ["enumerate", "--builtin", "ternary-no-efxpo", "--report", "min-sc"],
+            ["generate", "--family", "cardinality", "-n", "2", "-m", "3"],
+            ["solve", "--input", path, "--builtin", "ternary-no-efxpo"],
+            ["verify", "--input", path, "--allocation", alloc, "--criteria", "bogus"],
+        ]
+
+        def outcome(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = f"exit {exc.code}"
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        first = []
+        for argv in calls:
+            cli._parser.cache_clear()
+            first.append(outcome(argv))
+            written.unlink(missing_ok=True)
+        cli._parser.cache_clear()
+        shared = []
+        for argv in calls:
+            shared.append(outcome(argv))
+            if argv == calls[0]:
+                assert written.exists()
+                written.unlink()
+        assert not written.exists()
+        assert cli._parser.cache_info().misses == 1
+        assert shared == first
+        assert [code for code, _, _ in first] == [0, 0, 1, 2, 0, 0, "exit 2", 2]
 
 
 # ---------------------------------------------------------------------------

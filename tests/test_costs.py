@@ -161,6 +161,17 @@ def _table_verdict(m, values):
         # values past the int64 range
         (2, (0, 10**30, 1, 10**30 - 1)),
         (2, (0, 10**30, 1, 10**30 + 1)),
+        # either side of +-2^62, where the int64 path ends, and of int64
+        (2, (0, 2**62 - 1, 1, 2**62 - 2)),
+        (2, (0, 2**62, 1, 2**62 - 1)),
+        (2, (0, 2**62 - 1, 2**62 - 1, 2**62)),
+        (2, (0, 2**63 - 1, 1, 2**63)),
+        (2, (0, 2**63, 2**63, 2**63 + 1)),
+        (1, (0, -(2**62))),
+        (1, (0, -(2**62) - 1)),
+        (1, (0, -(2**63))),
+        (1, (0, -(2**63) - 1)),
+        (2, (0, 1, -(2**62), 2)),
         (2, (0, 1, 2, 1.0)),
         (2, (0, 1, True, 1)),
         (1, (3, 4)),

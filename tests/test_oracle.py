@@ -157,6 +157,16 @@ def test_exists_search_returns_first_witness():
     assert witness.bundles == (0b001, 0b110)
 
 
+@pytest.mark.parametrize("chunk", [0, -3])
+def test_exists_search_refuses_non_positive_chunks(tmp_path, chunk):
+    # a negative chunk once scanned nothing and reported (and dumped) that
+    # no EFX allocation exists
+    path = tmp_path / "verdict.json"
+    with pytest.raises(InvalidInputError, match="chunk size must be positive"):
+        efx_exists_search(builtin("ternary-no-efxpo"), chunk=chunk, dump_path=str(path))
+    assert not path.exists()
+
+
 def test_exists_search_dumps_verdict(tmp_path):
     path = tmp_path / "verdict.json"
     exists, witness = efx_exists_search(builtin("ternary-no-efxpo"), dump_path=str(path))
