@@ -7,7 +7,9 @@ its removal-stable variant (no agent may prefer another bundle after
 dropping any single item of her own, "EFX") and the equality envy graph
 used by the coarser solvers are all read off it.  The checkers here build
 one fresh matrix per call; solvers keep one up to date as bundles change.
-Pareto optimality is decided by exhaustive comparison.
+Pareto optimality is decided by exhaustive comparison, on the one scan
+engine (size check, dense cost tables, blocks of ranks) that the oracle
+walks too.
 
 Costs are integers and alpha is an exact rational, so every comparison in
 this module is exact; no floats anywhere.
@@ -360,8 +362,43 @@ def is_alpha_efx(
 
 
 # ---------------------------------------------------------------------------
-# Pareto optimality by exhaustive dominance scan
+# The exhaustive scan: its size check, its tables, its blocks of ranks
 # ---------------------------------------------------------------------------
+
+# Dense cost tables hold n * 2^m entries; a scan that needs more is refused
+# before any table is built (2^25 entries are 256 MiB as built in int64,
+# 128 MiB as kept in int32).
+TABLE_ENTRY_CAP = 1 << 25
+
+
+def _scan_size(inst: Instance, limit: int, chunk: int = 1) -> int:
+    """The n^m complete allocations a scan walks, after refusing a limit
+    outside 1 to the hard cap, a ground set past ``limit`` and a chunk
+    size below 1."""
+    if limit < 1:
+        raise InvalidInputError(f"limit must be positive, got {limit}")
+    if limit > ENUMERATION_HARD_CAP:
+        raise InvalidInputError(f"limit exceeds the hard cap of {ENUMERATION_HARD_CAP}")
+    total = inst.n**inst.m
+    if total > limit:
+        raise UnsupportedSizeError(
+            f"{inst.n}^{inst.m} = {total} complete allocations exceed the limit of {limit}"
+        )
+    if chunk < 1:
+        raise InvalidInputError("chunk size must be positive")
+    return total
+
+
+def _cost_tables(inst: Instance) -> list[np.ndarray]:
+    """Every agent's cost of every bundle, indexed by mask; refused up
+    front past :data:`TABLE_ENTRY_CAP` entries."""
+    entries = inst.n << inst.m
+    if entries > TABLE_ENTRY_CAP:
+        raise UnsupportedSizeError(
+            f"dense cost tables need n * 2^m = {entries} entries, over the cap of "
+            f"{TABLE_ENTRY_CAP}"
+        )
+    return [value_table(fn, max_m=26).astype(np.int32) for fn in inst.agents]
 
 
 def _assignment_masks(n: int, m: int, ranks: np.ndarray) -> list[np.ndarray]:
@@ -393,9 +430,8 @@ def _rank_blocks(
     end blocks sliced.  Yields (first rank, masks), with masks laid out as
     in :func:`_assignment_masks`.
 
-    The brute-force Pareto scan consumes it; it is meant to become the
-    shared scan primitive of the oracle's ``analyze`` and
-    ``efx_exists_search`` as well.
+    Every exhaustive scan walks these blocks: the Pareto check below and
+    the oracle's ``analyze`` and ``efx_exists_search``.
     """
     k = 0
     while k < m and n ** (k + 1) <= chunk:
@@ -432,35 +468,28 @@ def is_po_bruteforce(
     agent worse off and some agent strictly better off.  Returns
     ``(True, None)`` or ``(False, first dominating allocation)`` in
     lexicographic assignment order.  The scan is chunked internally; the
-    result does not depend on the chunk size.
+    result does not depend on the chunk size.  A single agent's complete
+    allocation is the only one there is, so it is PO without a scan.
     """
     _check_consistent(inst, alloc)
     if not alloc.complete:
         raise InvalidInputError("Pareto check requires a complete allocation")
-    n, m = inst.n, inst.m
-    total = n**m
-    if limit > ENUMERATION_HARD_CAP:
-        raise InvalidInputError(f"limit exceeds the hard cap of {ENUMERATION_HARD_CAP}")
-    if total > limit:
-        raise UnsupportedSizeError(
-            f"{n}^{m} = {total} complete allocations exceed the limit of {limit}"
-        )
-    if chunk < 1:
-        raise InvalidInputError("chunk size must be positive")
-    tables = [value_table(fn, max_m=26).astype(np.int32) for fn in inst.agents]
-    own = np.array(
-        [evaluate(fn, b) for fn, b in zip(inst.agents, alloc.bundles)], dtype=np.int32
-    )
-    for first, masks in _rank_blocks(n, m, 0, total, chunk):
+    total = _scan_size(inst, limit, chunk)
+    if inst.n == 1:
+        return True, None
+    tables = _cost_tables(inst)
+    own = [table[b] for table, b in zip(tables, alloc.bundles)]
+    for first, masks in _rank_blocks(inst.n, inst.m, 0, total, chunk):
         le = np.ones(len(masks[0]), dtype=bool)
         lt = np.zeros(len(masks[0]), dtype=bool)
-        for i in range(n):
-            costs_i = tables[i][masks[i]]
-            le &= costs_i <= own[i]
-            lt |= costs_i < own[i]
+        for table, mine, cost in zip(tables, masks, own):
+            costs_i = table[mine]
+            le &= costs_i <= cost
+            lt |= costs_i < cost
         dominating = le & lt
         if dominating.any():
-            return False, allocation_from_rank(n, m, first + int(np.argmax(dominating)))
+            rank = first + int(np.argmax(dominating))
+            return False, allocation_from_rank(inst.n, inst.m, rank)
     return True, None
 
 

@@ -18,13 +18,13 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .costs import value_table
-from .errors import InvalidInputError, UnsupportedSizeError
+from .errors import InvalidInputError
 from .fairness import (
     DEFAULT_ENUMERATION_LIMIT,
-    ENUMERATION_HARD_CAP,
     Allocation,
-    _assignment_masks,
+    _cost_tables,
+    _rank_blocks,
+    _scan_size,
     allocation_from_rank,
 )
 from .instances import Instance, instance_to_json
@@ -64,20 +64,6 @@ class EnumerationReport:
         }
 
 
-def _check_size(inst: Instance, limit: int) -> int:
-    if limit < 1:
-        raise InvalidInputError(f"limit must be positive, got {limit}")
-    if limit > ENUMERATION_HARD_CAP:
-        raise InvalidInputError(f"limit exceeds the hard cap of {ENUMERATION_HARD_CAP}")
-    total = inst.n**inst.m
-    if total > limit:
-        raise UnsupportedSizeError(
-            f"{inst.n}^{inst.m} = {total} complete allocations exceed the "
-            f"limit of {limit}"
-        )
-    return total
-
-
 def enumerate_allocations(
     inst: Instance,
     visitor: Callable[[Allocation], None],
@@ -88,102 +74,79 @@ def enumerate_allocations(
     This is the slow, obviously-correct route kept deliberately separate
     from the vectorised scan so the two can check each other.
     """
-    total = _check_size(inst, limit)
+    total = _scan_size(inst, limit)
     n, m = inst.n, inst.m
     for rank in range(total):
         visitor(allocation_from_rank(n, m, rank))
 
 
-@dataclass
-class _ScanTables:
-    """Dense per-agent lookup tables driving the vectorised scan."""
+def _worst_drops(table: np.ndarray, m: int) -> np.ndarray:
+    """max over e in S of table[S - e] for every mask S, 0 for S empty.
 
-    cost: list[np.ndarray]
-    worst_drop: list[np.ndarray]
-
-    @classmethod
-    def build(cls, inst: Instance) -> "_ScanTables":
-        cost = [value_table(fn, max_m=26).astype(np.int32) for fn in inst.agents]
-        worst = []
-        for table in cost:
-            wd = np.zeros_like(table)
-            masks = np.arange(len(table), dtype=np.int64)
-            for e in range(inst.m):
-                bit = 1 << e
-                has = (masks & bit) != 0
-                wd[has] = np.maximum(wd[has], table[masks[has] ^ bit])
-            worst.append(wd)
-        return cls(cost=cost, worst_drop=worst)
+    Viewed as ``reshape(-1, 2, 1 << e)``, the table pairs each mask
+    without item e (middle index 0) with the mask plus e (index 1).
+    """
+    worst = np.zeros_like(table)
+    for e in range(m):
+        drops = worst.reshape(-1, 2, 1 << e)[:, 1]
+        np.maximum(drops, table.reshape(-1, 2, 1 << e)[:, 0], out=drops)
+    return worst
 
 
-def _chunk_stats(
-    inst: Instance,
-    tables: _ScanTables,
-    ranks: np.ndarray,
-    frontier_vectors: set[tuple[int, ...]] | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-    """Cost matrix, EFX mask, social costs and frontier mask for a rank chunk."""
-    n = inst.n
-    masks = _assignment_masks(n, inst.m, ranks)
-    rows = np.stack([tables.cost[i][masks[i]] for i in range(n)], axis=1)
-    social = rows.sum(axis=1)
-    efx = np.ones(len(ranks), dtype=bool)
-    if n > 1:
-        for i in range(n):
-            wd = tables.worst_drop[i][masks[i]]
-            others = np.min(
-                np.stack([tables.cost[i][masks[j]] for j in range(n) if j != i]),
-                axis=0,
-            )
-            efx &= wd <= others
-    member = None
-    if frontier_vectors is not None:
-        uniq, inverse = np.unique(rows, axis=0, return_inverse=True)
-        flags = np.array(
-            [tuple(int(x) for x in row) in frontier_vectors for row in uniq],
-            dtype=bool,
-        )
-        member = flags[inverse.reshape(-1)]
-    return rows, efx, social, member
+def _efx_flags(
+    tables: list[np.ndarray], worst: list[np.ndarray], masks: list[np.ndarray]
+) -> np.ndarray:
+    """Which allocations of a block are removal-stable: each agent's worst
+    drop is at most the cheapest bundle of a rival."""
+    efx = np.ones(len(masks[0]), dtype=bool)
+    for i, (table, drops) in enumerate(zip(tables, worst)):
+        others = [table[theirs] for j, theirs in enumerate(masks) if j != i]
+        if others:
+            efx &= drops[masks[i]] <= np.minimum.reduce(others)
+    return efx
 
 
 def _scan_range(
     inst: Instance,
     start: int,
     stop: int,
-    frontier_vectors: set[tuple[int, ...]] | None,
-    want_efx_ranks: bool,
     chunk: int,
+    wants: set[str],
+    frontier_vectors: set[tuple[int, ...]] | None,
 ) -> dict:
-    """One contiguous rank range; the unit of parallel work."""
-    tables = _ScanTables.build(inst)
-    vectors: set[tuple[int, ...]] = set()
-    min_sc: int | None = None
-    efx_ranks: list[np.ndarray] = []
-    frontier_ranks: list[np.ndarray] = []
-    intersects = False
-    for lo in range(start, stop, chunk):
-        ranks = np.arange(lo, min(lo + chunk, stop), dtype=np.int64)
-        rows, efx, social, member = _chunk_stats(inst, tables, ranks, frontier_vectors)
-        uniq = np.unique(rows, axis=0)
-        vectors.update(tuple(int(x) for x in row) for row in uniq)
-        low = int(social.min()) if len(social) else None
-        if low is not None and (min_sc is None or low < min_sc):
-            min_sc = low
-        if want_efx_ranks and efx.any():
-            efx_ranks.append(ranks[efx])
-        if member is not None:
-            if member.any():
-                frontier_ranks.append(ranks[member])
-            if bool((efx & member).any()):
-                intersects = True
-    return {
-        "vectors": vectors,
-        "min_sc": min_sc,
-        "efx_ranks": efx_ranks,
-        "frontier_ranks": frontier_ranks,
-        "intersects": intersects,
-    }
+    """One contiguous rank range; the unit of parallel work.
+
+    ``wants`` names what to collect: "efx" ranks, "min-sc", the distinct
+    cost "vectors", and, against ``frontier_vectors``, "frontier" ranks
+    and the "efx-po" flag.  Only what it names is computed.
+    """
+    tables = _cost_tables(inst)
+    worst = None
+    if wants & {"efx", "efx-po"}:
+        worst = [_worst_drops(table, inst.m) for table in tables]
+    found: dict = {"efx": [], "frontier": [], "vectors": set(), "min-sc": None, "efx-po": False}
+    for first, masks in _rank_blocks(inst.n, inst.m, start, stop, chunk):
+        efx = None if worst is None else _efx_flags(tables, worst, masks)
+        if "efx" in wants:
+            found["efx"].append(first + np.flatnonzero(efx))
+        if wants == {"efx"}:  # the EFX ranks read no cost rows
+            continue
+        rows = np.stack([table[mine] for table, mine in zip(tables, masks)], axis=1)
+        if "min-sc" in wants:
+            low = int(rows.sum(axis=1).min())
+            if found["min-sc"] is None or low < found["min-sc"]:
+                found["min-sc"] = low
+        if "vectors" in wants:
+            found["vectors"].update(map(tuple, np.unique(rows, axis=0).tolist()))
+        if frontier_vectors is not None:
+            uniq, inverse = np.unique(rows, axis=0, return_inverse=True)
+            flags = [tuple(row) in frontier_vectors for row in uniq.tolist()]
+            member = np.array(flags, dtype=bool)[inverse.reshape(-1)]
+            if "frontier" in wants:
+                found["frontier"].append(first + np.flatnonzero(member))
+            if "efx-po" in wants and (efx & member).any():
+                found["efx-po"] = True
+    return found
 
 
 def _nondominated(vectors: set[tuple[int, ...]]) -> set[tuple[int, ...]]:
@@ -209,22 +172,30 @@ def _run_ranges(
     inst: Instance,
     total: int,
     jobs: int,
-    frontier_vectors: set[tuple[int, ...]] | None,
-    want_efx_ranks: bool,
     chunk: int,
+    wants: set[str],
+    frontier_vectors: set[tuple[int, ...]] | None = None,
 ) -> list[dict]:
     ranges = _split_ranges(total, jobs)
     if len(ranges) <= 1:
         return [
-            _scan_range(inst, lo, hi, frontier_vectors, want_efx_ranks, chunk)
-            for lo, hi in ranges
+            _scan_range(inst, lo, hi, chunk, wants, frontier_vectors) for lo, hi in ranges
         ]
     with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
         futures = [
-            pool.submit(_scan_range, inst, lo, hi, frontier_vectors, want_efx_ranks, chunk)
+            pool.submit(_scan_range, inst, lo, hi, chunk, wants, frontier_vectors)
             for lo, hi in ranges
         ]
         return [f.result() for f in futures]
+
+
+def _allocations(n: int, m: int, parts: list[dict], key: str) -> list[Allocation]:
+    return [
+        allocation_from_rank(n, m, int(rank))
+        for part in parts
+        for ranks in part[key]
+        for rank in ranks
+    ]
 
 
 def analyze(
@@ -237,47 +208,40 @@ def analyze(
     """Exhaustive report over all complete allocations.
 
     ``sections`` selects what to compute: "efx" and "frontier" materialise
-    allocation lists, "efx-po" the intersection flag (forces the frontier
-    pass), "min-sc" the social-cost minimum.  Results are deterministic
-    and independent of ``jobs`` and ``chunk``; ``jobs`` is capped at the
-    machine's CPU count.
+    allocation lists, "efx-po" the intersection flag, "min-sc" the
+    social-cost minimum.  A first pass yields "efx" and "min-sc", and
+    collects the distinct cost vectors only when "frontier" or "efx-po"
+    is asked for; only those two run the second pass, against the
+    non-dominated vectors.  EFX tests run only for "efx" and "efx-po".
+    Results are deterministic and independent of ``jobs`` and ``chunk``;
+    ``jobs`` is capped at the machine's CPU count.
     """
     wanted = set(sections)
     unknown = wanted.difference(SECTIONS)
     if unknown:
         raise InvalidInputError(f"unknown report sections: {sorted(unknown)}")
-    total = _check_size(inst, limit)
-    n, m = inst.n, inst.m
-    if chunk < 1:
-        raise InvalidInputError("chunk size must be positive")
+    total = _scan_size(inst, limit, chunk)
     if jobs < 1:
         raise InvalidInputError(f"jobs must be positive, got {jobs}")
     jobs = min(jobs, os.cpu_count() or 1)
+    n, m = inst.n, inst.m
 
     report = EnumerationReport(total_allocations=total)
-    first = _run_ranges(inst, total, jobs, None, "efx" in wanted, chunk)
-    vectors: set[tuple[int, ...]] = set()
-    for part in first:
-        vectors.update(part["vectors"])
-    if "min-sc" in wanted:
-        report.min_social_cost = min(part["min_sc"] for part in first)
-    if "efx" in wanted:
-        ranks = np.concatenate(
-            [arr for part in first for arr in part["efx_ranks"]] or [np.array([], dtype=np.int64)]
-        )
-        report.efx_allocations = [allocation_from_rank(n, m, int(r)) for r in ranks]
-
-    if "frontier" in wanted or "efx-po" in wanted:
-        frontier_vectors = _nondominated(vectors)
-        second = _run_ranges(inst, total, jobs, frontier_vectors, False, chunk)
+    second = wanted & {"frontier", "efx-po"}
+    first = wanted & {"efx", "min-sc"} | ({"vectors"} if second else set())
+    if first:
+        parts = _run_ranges(inst, total, jobs, chunk, first)
+        if "min-sc" in wanted:
+            report.min_social_cost = min(part["min-sc"] for part in parts)
+        if "efx" in wanted:
+            report.efx_allocations = _allocations(n, m, parts, "efx")
+    if second:
+        vectors = set().union(*(part["vectors"] for part in parts))
+        parts = _run_ranges(inst, total, jobs, chunk, second, _nondominated(vectors))
         if "frontier" in wanted:
-            ranks = np.concatenate(
-                [arr for part in second for arr in part["frontier_ranks"]]
-                or [np.array([], dtype=np.int64)]
-            )
-            report.pareto_frontier = [allocation_from_rank(n, m, int(r)) for r in ranks]
+            report.pareto_frontier = _allocations(n, m, parts, "frontier")
         if "efx-po" in wanted:
-            report.efx_and_po_exists = any(part["intersects"] for part in second)
+            report.efx_and_po_exists = any(part["efx-po"] for part in parts)
     return report
 
 
@@ -294,18 +258,14 @@ def efx_exists_search(
     submodular inputs a negative answer would settle an open existence
     question, so it must never vanish into a log.
     """
-    total = _check_size(inst, limit)
-    if chunk < 1:
-        raise InvalidInputError("chunk size must be positive")
-    n, m = inst.n, inst.m
-    tables = _ScanTables.build(inst)
+    total = _scan_size(inst, limit, chunk)
+    tables = _cost_tables(inst)
+    worst = [_worst_drops(table, inst.m) for table in tables]
     witness: Allocation | None = None
-    for lo in range(0, total, chunk):
-        ranks = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-        _, efx, _, _ = _chunk_stats(inst, tables, ranks, None)
-        if efx.any():
-            rank = int(ranks[int(np.argmax(efx))])
-            witness = allocation_from_rank(n, m, rank)
+    for first, masks in _rank_blocks(inst.n, inst.m, 0, total, chunk):
+        ranks = first + np.flatnonzero(_efx_flags(tables, worst, masks))
+        if len(ranks):
+            witness = allocation_from_rank(inst.n, inst.m, int(ranks[0]))
             break
     if dump_path is not None:
         payload = {

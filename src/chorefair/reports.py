@@ -20,7 +20,7 @@ from .itemset import size
 
 # Above this many complete allocations, Pareto optimality is not scanned
 # by brute force; unless the instance is proved binary additive, an efx+po
-# tag then rests on the social-cost minimum.
+# tag then fails its unproved ``po``.
 PO_SCAN_LIMIT = 10**6
 
 
@@ -135,47 +135,38 @@ def _binary_additive(inst: Instance) -> bool:
     )
 
 
-def _po_at_floor(inst: Instance, alloc: Allocation) -> bool:
-    """Pareto optimality under binary additive costs.  An allocation at the
-    floor has the least social cost, which any Pareto improvement would
-    lower; one above it gives some item to an agent paying 1 for it while
-    another pays 0, and moving it there is a Pareto improvement."""
-    return alloc.complete and fairness.social_cost(inst, alloc) == _additive_floor(inst)
-
-
 def certify(inst: Instance, report: SolveReport) -> Certificate:
     """Re-prove every property the report's tag promises, from the instance
     and the allocation alone.
 
-    Never raises on a failed property; the certificate records it.  Pareto
-    optimality is decided exactly from the social-cost floor when every
-    agent is proved binary additive, at every size; otherwise it is scanned
-    by brute force when n^m <= PO_SCAN_LIMIT, and above that an efx+po tag
-    gets a note instead.
+    Never raises on a failed property; the certificate records it.  The
+    social cost and its additive floor are priced once.  Pareto optimality
+    is decided exactly from that floor when every agent is proved binary
+    additive, at every size: an allocation at the floor has the least
+    social cost, which any Pareto improvement would lower, and one above
+    it gives some item to an agent paying 1 for it while another pays 0.
+    Otherwise it is scanned by brute force when n^m <= PO_SCAN_LIMIT, and
+    above that it is unproved: ``po`` fails, and no "not PO" note is added.
     """
     alloc = report.allocation
     promise = TAG_CHECKS[report.guarantee]
+    wants_po = "po" in promise.checks or promise.po_note
+    by_floor = wants_po and _binary_additive(inst)
+    at_floor = None
+    if by_floor or "minimal-social-cost" in promise.checks:
+        at_floor = CHECKS["minimal-social-cost"](inst, alloc)
     po: bool | None = None
-    if "po" in promise.checks or promise.po_note:
-        if _binary_additive(inst):
-            po = _po_at_floor(inst, alloc)
-        elif inst.n**inst.m <= PO_SCAN_LIMIT:
-            po = CHECKS["po"](inst, alloc)
-    checks: dict[str, bool] = {}
-    notes: list[str] = []
-    for name in promise.checks:
-        if name != "po":
-            checks[name] = CHECKS[name](inst, alloc)
-        elif po is not None:
-            checks[name] = po
-        else:
-            notes.append(
-                "po confirmed via the social-cost minimum; ground set too "
-                "large for the brute-force scan"
-            )
-    if promise.po_note and po is False:
-        notes.append("not PO")
-    return Certificate(tag=report.guarantee, checks=checks, notes=tuple(notes))
+    if by_floor:
+        po = alloc.complete and at_floor
+    elif wants_po and inst.n**inst.m <= PO_SCAN_LIMIT:
+        po = CHECKS["po"](inst, alloc)
+    known = {"minimal-social-cost": at_floor, "po": bool(po)}
+    checks = {
+        name: known[name] if name in known else CHECKS[name](inst, alloc)
+        for name in promise.checks
+    }
+    notes = ("not PO",) if promise.po_note and po is False else ()
+    return Certificate(tag=report.guarantee, checks=checks, notes=notes)
 
 
 __all__ = [

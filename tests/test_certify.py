@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chorefair import fairness
+from chorefair import fairness, reports
 from chorefair.cli import main
-from chorefair.costs import Table, value_table
+from chorefair.costs import Cardinality, Table, value_table
 from chorefair.errors import ChoreFairError, InternalInvariantError
 from chorefair.fairness import Allocation, is_po_bruteforce
 from chorefair.instances import (
@@ -25,7 +25,6 @@ from chorefair.reports import (
     GuaranteeTag,
     SolveReport,
     _binary_additive,
-    _po_at_floor,
     certify,
 )
 from chorefair.solvers import solve_auto
@@ -90,7 +89,7 @@ def _floor_agrees_with_the_scan(n, m, seed, owner, tables):
     bundles = tuple(sum(1 << e for e in range(m) if owner[e] == i) for i in range(n))
     alloc = Allocation(n=n, m=m, bundles=bundles)
     po = is_po_bruteforce(inst, alloc)[0]
-    assert _po_at_floor(inst, alloc) == po
+    assert certify(inst, tagged(alloc, GuaranteeTag.EFX_AND_PO)).checks["po"] == po
     return po
 
 
@@ -150,6 +149,38 @@ def test_po_beyond_the_scan_limit_is_decided_at_the_floor():
     assert report.guarantee is GuaranteeTag.EFX_AND_PO
     assert cert.passed and cert.checks["po"] is True
     assert cert.notes == ()
+
+
+def test_unproved_po_past_the_scan_limit_fails():
+    # cancelable, not additive, 2^21 allocations: neither the floor nor the
+    # scan decides PO, and giving every item to agent 0 dominates the
+    # 11/10 split (costs (11, 0) against (11, 10))
+    card = Cardinality(11, 21)
+    inst = Instance(n=2, m=21, agents=(card, card), declared_class="cancelable")
+    assert inst.n**inst.m > PO_SCAN_LIMIT and not _binary_additive(inst)
+    eleven = (1 << 11) - 1
+    split = Allocation(n=2, m=21, bundles=(eleven, ((1 << 21) - 1) ^ eleven))
+    cert = certify(inst, tagged(split, GuaranteeTag.EFX_AND_PO))
+    assert not cert.passed
+    assert cert.failures == ["po"]
+    assert cert.notes == ()
+    cert = certify(inst, tagged(split, GuaranteeTag.EFX))
+    assert cert.passed and cert.notes == ()
+
+
+def test_floor_and_social_cost_priced_once_per_certificate(monkeypatch):
+    inst = generate("binary_additive", 3, 13, seed=2)
+    report = solve_auto(inst)
+    assert report.guarantee is GuaranteeTag.EFX_AND_PO
+    calls = []
+    for name in ("social_cost", "_additive_floor"):
+        module = fairness if name == "social_cost" else reports
+        real = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
+        )
+    assert certify(inst, report).passed
+    assert sorted(calls) == ["_additive_floor", "social_cost"]
 
 
 def test_epilogue_names_the_first_failed_check():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from chorefair import cli
 from chorefair.cli import main
-from chorefair.costs import Cardinality, Table
+from chorefair.costs import Additive, Cardinality, Table
 from chorefair.instances import Instance, builtin, load_instance, serialize_instance
 from helpers import cap7_pair
 
@@ -161,6 +161,19 @@ class TestVerify:
         assert code == 1
         assert payload["criteria"]["po"]["dominated_by"]["bundles"] == [[0, 2], [1]]
 
+    def test_a_single_agent_past_the_table_size_is_po(self, capsys, tmp_path):
+        # one agent holding everything is PO with no table, at any m
+        one = Instance(n=1, m=30, agents=(Cardinality(3, 30),), declared_class="cancelable")
+        inst = write_instance(tmp_path, one)
+        alloc = write_allocation(tmp_path, [list(range(30))])
+        code, out, err = run(
+            capsys, "verify", "--input", inst, "--allocation", alloc, "--criteria", "efx,po"
+        )
+        assert (code, out, err) == (0, "efx: pass\npo: pass\noverall: pass\n", "")
+        code, payload, err = run_json(capsys, "solve", "--input", inst, "--verify")
+        assert code == 0 and err == ""
+        assert payload["verification"]["passed"] is True
+
     def test_scaled_criteria(self, capsys, tmp_path):
         inst = write_instance(tmp_path, builtin("ternary-no-efxpo"))
         alloc = write_allocation(tmp_path, [[0], [1, 2]])
@@ -288,6 +301,18 @@ class TestEnumerate:
         )
         assert code == 2
         assert "exceed" in err
+
+    def test_oversized_tables_refused_in_one_line(self, capsys, tmp_path):
+        wide = Instance(n=1, m=26, agents=(Additive((1,) * 26),), declared_class="additive")
+        code, out, err = run(
+            capsys, "enumerate", "--input", write_instance(tmp_path, wide), "--report", "min-sc"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: dense cost tables need n * 2^m = 67108864 entries, "
+            "over the cap of 33554432\n"
+        )
 
     @pytest.mark.parametrize(
         "flag, value, message",

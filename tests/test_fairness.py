@@ -16,6 +16,7 @@ from chorefair.costs import (
     marginal,
     residual,
 )
+from chorefair import fairness
 from chorefair.errors import InternalInvariantError, InvalidInputError, UnsupportedSizeError
 from chorefair.fairness import (
     Allocation,
@@ -387,6 +388,40 @@ def test_is_po_bruteforce_respects_limit():
     inst = ternary()
     with pytest.raises(UnsupportedSizeError):
         is_po_bruteforce(inst, Allocation(n=2, m=3, bundles=(0b111, 0)), limit=4)
+
+
+def test_is_po_bruteforce_refuses_bad_settings_as_the_oracle_does():
+    alloc = Allocation(n=2, m=3, bundles=(0b111, 0))
+    with pytest.raises(InvalidInputError, match="limit must be positive, got 0"):
+        is_po_bruteforce(ternary(), alloc, limit=0)
+    with pytest.raises(InvalidInputError, match="hard cap"):
+        is_po_bruteforce(ternary(), alloc, limit=10**9)
+    with pytest.raises(InvalidInputError, match="chunk size must be positive"):
+        is_po_bruteforce(ternary(), alloc, chunk=0)
+
+
+def _no_tables(fn, max_m=None):
+    raise AssertionError("a dense table was built")
+
+
+def test_a_single_agent_is_po_without_a_scan(monkeypatch):
+    monkeypatch.setattr(fairness, "value_table", _no_tables)
+    for m in (0, 5, 30, 64):
+        inst = Instance(n=1, m=m, agents=(Cardinality(3, m),), declared_class="cancelable")
+        assert is_po_bruteforce(inst, Allocation(n=1, m=m, bundles=((1 << m) - 1,))) == (
+            True,
+            None,
+        )
+    with pytest.raises(InvalidInputError, match="complete"):
+        is_po_bruteforce(inst, Allocation(n=1, m=64, bundles=(1,), unallocated=(1 << 64) - 2))
+
+
+def test_oversized_po_tables_are_refused_before_any_is_built(monkeypatch):
+    monkeypatch.setattr(fairness, "value_table", _no_tables)
+    inst = Instance(n=2, m=25, agents=(Additive((1,) * 25),) * 2, declared_class="additive")
+    alloc = Allocation(n=2, m=25, bundles=((1 << 25) - 1, 0))
+    with pytest.raises(UnsupportedSizeError, match="over the cap of 33554432"):
+        is_po_bruteforce(inst, alloc, limit=10**8)
 
 
 def test_allocation_from_rank_is_a_bijection():

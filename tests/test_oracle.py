@@ -1,15 +1,20 @@
+import itertools
 import json
+import random
 from concurrent.futures import Future
 
+import numpy as np
 import pytest
 
-from chorefair import oracle
-from chorefair.costs import evaluate
+from chorefair import fairness, oracle
+from chorefair.costs import Additive, evaluate
 from chorefair.errors import InvalidInputError, UnsupportedSizeError
 from chorefair.fairness import Allocation, is_alpha_efx
-from chorefair.instances import builtin, generate
+from chorefair.instances import Instance, builtin, generate
 from chorefair.oracle import (
+    SECTIONS,
     EnumerationReport,
+    _worst_drops,
     analyze,
     efx_exists_search,
     enumerate_allocations,
@@ -92,25 +97,30 @@ def test_jobs_and_chunking_do_not_change_report():
     assert analyze(inst, jobs=2, chunk=7).to_json() == base
 
 
+class InlinePool:
+    """Stand-in process pool that runs the work inline, so no process is
+    started; records each pool's worker count."""
+
+    workers: list[int] = []
+
+    def __init__(self, max_workers):
+        self.workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
 def test_jobs_capped_at_cpu_count(monkeypatch):
-    # a stand-in pool runs the work inline, so no process is started
     workers = []
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            workers.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            future = Future()
-            future.set_result(fn(*args))
-            return future
-
+    monkeypatch.setattr(InlinePool, "workers", workers)
     monkeypatch.setattr(oracle, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
     inst = generate("threshold", 3, 5, seed=9)
@@ -184,3 +194,81 @@ def test_report_json_shape():
     assert doc["total_allocations"] == 8
     assert doc["pareto_frontier"] is None
     assert doc["efx_allocations"][0] == {"bundles": [[0], [1, 2]], "unallocated": []}
+
+
+_FIELDS = {
+    "efx": "efx_allocations",
+    "frontier": "pareto_frontier",
+    "efx-po": "efx_and_po_exists",
+    "min-sc": "min_social_cost",
+}
+
+
+def test_every_section_subset_matches_the_full_report(monkeypatch):
+    # two workers through the inline pool split every range in two
+    monkeypatch.setattr(InlinePool, "workers", [])
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
+    instances = [
+        builtin("ternary-no-efxpo"),
+        generate("threshold", 3, 5, seed=9),
+        generate("table", 2, 6, seed=3),
+        generate("capped_additive", 4, 3, seed=1),
+        generate("cardinality", 1, 4, seed=0),
+    ]
+    for inst in instances:
+        full = analyze(inst).to_json()
+        for r in range(len(SECTIONS) + 1):
+            for sections in itertools.combinations(SECTIONS, r):
+                for chunk, jobs in itertools.product((1, 5, 37, 1 << 16), (1, 2)):
+                    doc = analyze(inst, sections=sections, chunk=chunk, jobs=jobs).to_json()
+                    assert doc == {
+                        key: value
+                        if key == "total_allocations"
+                        or any(_FIELDS[name] == key for name in sections)
+                        else None
+                        for key, value in full.items()
+                    }
+
+
+def test_exists_witness_is_the_first_efx_allocation():
+    rng = random.Random(3)
+    for k in range(24):
+        family = ("binary_additive", "capped_additive", "cardinality", "threshold", "table")[k % 5]
+        inst = generate(family, rng.randint(1, 4), rng.randint(1, 6), seed=k)
+        efx = analyze(inst, sections=("efx",)).efx_allocations
+        for chunk in (1, 7, 1 << 16):
+            exists, witness = efx_exists_search(inst, chunk=chunk)
+            assert exists == bool(efx)
+            assert witness == (efx[0] if efx else None)
+
+
+@pytest.mark.parametrize("m", range(9))
+def test_worst_drops_match_their_definition(m):
+    rng = np.random.default_rng(m)
+    table = rng.integers(0, 50, size=1 << m, dtype=np.int32)
+    expected = [
+        max((int(table[s ^ (1 << e)]) for e in range(m) if s >> e & 1), default=0)
+        for s in range(1 << m)
+    ]
+    worst = _worst_drops(table, m)
+    assert worst.dtype == table.dtype
+    assert worst.tolist() == expected
+
+
+def _no_tables(fn, max_m=None):
+    raise AssertionError("a dense table was built")
+
+
+def test_oversized_tables_are_refused_before_any_is_built(monkeypatch):
+    monkeypatch.setattr(fairness, "value_table", _no_tables)
+    wide = Instance(n=1, m=26, agents=(Additive((1,) * 26),), declared_class="additive")
+    with pytest.raises(UnsupportedSizeError, match="cost tables need n \\* 2\\^m = 67108864"):
+        analyze(wide)
+    with pytest.raises(UnsupportedSizeError, match="over the cap"):
+        efx_exists_search(wide)
+    pair = Instance(n=2, m=25, agents=(Additive((1,) * 25),) * 2, declared_class="additive")
+    with pytest.raises(UnsupportedSizeError, match="over the cap"):
+        analyze(pair, limit=10**8, sections=("min-sc",))
+    # no section asked for, no table needed
+    assert analyze(wide, sections=()).to_json()["total_allocations"] == 1
