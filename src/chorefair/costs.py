@@ -5,7 +5,8 @@ descriptor kind here is monotone with marginals in {0, 1} by construction,
 except ``Table`` which stores arbitrary explicit values (monotonicity and a
 zero empty set are enforced at construction; binary marginals are recorded
 as a property so checkers can consume non-binary tables that solvers must
-reject).
+reject).  A ``Table`` keeps its values once, in one int64 buffer, and
+:func:`value_table` hands out a read-only view of it instead of a copy.
 
 Descriptors expose ``m`` (ground-set size), ``value(mask)`` and
 ``marginal(item, mask)``.  Every kind, and every residual view, answers
@@ -23,8 +24,10 @@ value difference c(S + e) - c(S).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Protocol, runtime_checkable
+import struct
+from array import array
+from dataclasses import FrozenInstanceError, dataclass, field
+from typing import Iterable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -220,64 +223,130 @@ class Threshold:
         return 1 if mask.bit_count() >= self.k else 0
 
 
-@dataclass(frozen=True)
+def _first_non_int(values: Sequence) -> int | None:
+    """Index of the first entry that is not an integer, or None.
+
+    The one type walk a table's values get, shared by :class:`Table` and
+    the JSON reader: plain ints pass one type test in C, and only a
+    sequence holding something else is walked (``bool`` is refused, other
+    ``int`` subclasses pass).
+    """
+    if {*map(type, values)} <= {int}:
+        return None
+    for i, v in enumerate(values):
+        if not isinstance(v, int) or isinstance(v, bool):
+            return i
+    return None
+
+
+def _int64_buffer(values: Sequence[int]) -> array | None:
+    """Integers packed into an int64 ``array``, or None when one of them
+    lies outside the int64 range."""
+    try:
+        return array("q", struct.pack(f"{len(values)}q", *values))
+    except struct.error:
+        return None
+
+
 class Table:
     """Explicit values indexed by subset bitmask.
 
-    ``values[mask]`` is the cost of the subset ``mask``; the tuple length
-    must be exactly 2^m.  Construction enforces value(∅)=0, integrality,
+    ``values[mask]`` is the cost of the subset ``mask``; there must be
+    exactly 2^m values.  Construction enforces integrality, value(∅)=0
     and monotonicity.  Non-binary marginals are permitted (the built-in
     counterexample with per-item cost 2 needs them) and are reflected in
     :attr:`binary_marginal`; solvers refuse such functions, checkers and
     the enumeration oracle accept them.
+
+    The values are stored once, in one int64 buffer (an ``array("q")``)
+    built at construction.  ``value`` and ``marginal`` index it,
+    :func:`value_table` returns a read-only numpy view of it with no copy,
+    and ``values`` reads it back as a tuple.  A table holding a value
+    outside ±2^62 keeps a tuple of Python ints instead, so that no int64
+    difference can wrap.  Tables are immutable; they compare, hash and
+    pickle by ``m`` and ``values``.  An ``array("q")`` argument holds
+    integers only, so it skips the type walk.
     """
 
-    m: int
-    values: tuple[int, ...]
-    binary_marginal: bool = field(init=False, compare=False)
+    __slots__ = ("m", "binary_marginal", "_values", "_view", "_additive")
 
-    def __post_init__(self) -> None:
-        if self.m < 0:
-            raise InvalidInputError(f"ground-set size must be non-negative, got {self.m}")
-        if self.m > TABLE_MAX_M:
-            raise UnsupportedSizeError(f"explicit tables support m <= {TABLE_MAX_M}, got {self.m}")
-        values = tuple(self.values)
-        if len(values) != 1 << self.m:
+    def __init__(self, m: int, values: Iterable[int]) -> None:
+        if m < 0:
+            raise InvalidInputError(f"ground-set size must be non-negative, got {m}")
+        if m > TABLE_MAX_M:
+            raise UnsupportedSizeError(f"explicit tables support m <= {TABLE_MAX_M}, got {m}")
+        checked = isinstance(values, array) and values.typecode == "q"
+        if not (checked or isinstance(values, (list, tuple))):
+            values = tuple(values)
+        if len(values) != 1 << m:
             raise InvalidInputError(
-                f"table for m={self.m} needs {1 << self.m} values, got {len(values)}"
+                f"table for m={m} needs {1 << m} values, got {len(values)}"
             )
-        if not set(map(type, values)) <= {int}:
-            for mask, v in enumerate(values):
-                if not isinstance(v, int) or isinstance(v, bool):
-                    raise InvalidInputError(
-                        f"table value at mask {mask} is not an integer: {v!r}"
-                    )
-        if values and values[0] != 0:
+        if not checked:
+            bad = _first_non_int(values)
+            if bad is not None:
+                raise InvalidInputError(
+                    f"table value at mask {bad} is not an integer: {values[bad]!r}"
+                )
+        if values[0] != 0:
             raise InvalidInputError(f"table value for the empty set must be 0, got {values[0]}")
         # Dropping any single element must not increase the value; steps of
         # more than 1 are legal but mark the table as non-binary.  Values
         # too large for int64 differences are compared as Python ints.
-        try:
-            v = np.array(values, dtype=np.int64)
-            small = -(1 << 62) <= v.min() and v.max() < 1 << 62
-        except OverflowError:
-            small = False
-        if not small:
-            v = np.array(values, dtype=object)
-        binary, monotone = _check_marginals(self.m, v, {})
+        buf = array("q", values) if checked else _int64_buffer(values)
+        view = None if buf is None else np.frombuffer(buf, dtype=np.int64)
+        if view is not None and -(1 << 62) <= view.min() and view.max() < 1 << 62:
+            view.flags.writeable = False
+            v = view
+        else:
+            buf, view = tuple(values), None
+            v = np.array(buf, dtype=object)
+        binary, monotone = _check_marginals(m, v, {})
         if not monotone:
-            mask, e = _first_rise(self.m, v)
+            mask, e = _first_rise(m, v)
             raise InvalidInputError(
                 f"table is not monotone: value({mask ^ (1 << e)}) > value({mask})"
             )
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "m", m)
         object.__setattr__(self, "binary_marginal", binary)
+        object.__setattr__(self, "_values", buf)
+        object.__setattr__(self, "_view", view)
+
+    @property
+    def values(self) -> tuple[int, ...]:
+        return tuple(self.tolist())
+
+    def tolist(self) -> list[int]:
+        """The values as a new list, read straight from the buffer."""
+        values = self._values
+        return values.tolist() if isinstance(values, array) else list(values)
 
     def value(self, mask: ItemSet) -> int:
-        return self.values[mask]
+        return self._values[mask]
 
     def marginal(self, item: int, mask: ItemSet) -> int:
-        return self.values[mask | 1 << item] - self.values[mask]
+        values = self._values
+        return values[mask | 1 << item] - values[mask]
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.m == other.m and self._values == other._values
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.values))
+
+    def __repr__(self) -> str:
+        return f"Table(m={self.m!r}, values={self.values!r}, binary_marginal={self.binary_marginal!r})"
+
+    def __reduce__(self):
+        return Table, (self.m, self._values)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 Descriptor = Additive | CappedAdditive | Cardinality | PartitionMatroidRank | Threshold | Table
@@ -365,15 +434,17 @@ def residual(fn: CostFunction, base: ItemSet) -> ResidualView:
 def value_table(fn: CostFunction, max_m: int = CHECK_CLASS_MAX_M) -> np.ndarray:
     """All 2^m values of ``fn`` as an int64 array indexed by subset mask.
 
-    Closed-form kinds are filled with vectorised recurrences instead of 2^m
-    Python calls.
+    A :class:`Table` returns a read-only view of its own int64 buffer, with
+    no copy.  Closed-form kinds are filled with vectorised recurrences
+    instead of 2^m Python calls.
     """
     m = fn.m
     if m > max_m:
         raise UnsupportedSizeError(f"dense value table needs m <= {max_m}, got {m}")
     n_masks = 1 << m
     if isinstance(fn, Table):
-        return np.asarray(fn.values, dtype=np.int64)
+        # the table's own buffer, read-only and uncopied
+        return fn._view if fn._view is not None else np.asarray(fn._values, dtype=np.int64)
     if isinstance(fn, (Additive, CappedAdditive)):
         out = _weighted_counts(m, [1 if c else 0 for c in fn.costs])
         if isinstance(fn, CappedAdditive):
@@ -536,17 +607,24 @@ def _check_marginals(m: int, v: np.ndarray, witnesses: dict[str, Witness]) -> tu
     for e in range(m):
         bit = 1 << e
         w = v.reshape(-1, 2, bit)
-        marg = w[:, 1] - w[:, 0]
-        low, high = marg.min(), marg.max()
-        if monotone and low < 0:
-            s = _low_mask(int(np.argmax(marg < 0)), e)
-            witnesses["monotone"] = (s, s | bit, e)
-            monotone = False
-        if binary and (low < 0 or high > 1):
-            s = _low_mask(int(np.argmax((marg < 0) | (marg > 1))), e)
+        # a step is 0 or 1 iff clearing its lowest bit leaves 0, so one
+        # count clears an item; the sign survives, so the masked steps
+        # still show the falling ones
+        off = w[:, 1] - w[:, 0]
+        off &= -2
+        if not np.count_nonzero(off):
+            continue
+        if monotone:
+            falls = off < 0
+            if falls.any():
+                s = _low_mask(int(np.argmax(falls)), e)
+                witnesses["monotone"] = (s, s | bit, e)
+                monotone = False
+        if binary:
+            s = _low_mask(int(np.argmax(off != 0)), e)
             witnesses["binary_marginal"] = (s, s | bit, e)
             binary = False
-        if not binary and not monotone:
+        if not monotone:
             break
     return binary, monotone
 
@@ -581,6 +659,22 @@ def _check_additive(m: int, v: np.ndarray, witnesses: dict[str, Witness]) -> boo
             witnesses["additive"] = (s ^ bit, 0, e)
             return False
     raise InternalInvariantError("additive mismatch without a marginal witness")
+
+
+def _check_additive_once(fn: CostFunction, witnesses: dict[str, Witness]) -> bool:
+    """:func:`_check_additive` on ``fn``'s values.  A :class:`Table` keeps
+    the verdict and its witness, so that the class gate and the
+    certificate decide a table's additivity once between them."""
+    verdict = getattr(fn, "_additive", None)
+    if verdict is None:
+        found: dict[str, Witness] = {}
+        verdict = (_check_additive(fn.m, value_table(fn), found), found.get("additive"))
+        if isinstance(fn, Table):
+            object.__setattr__(fn, "_additive", verdict)
+    additive, witness = verdict
+    if not additive:
+        witnesses["additive"] = witness
+    return additive
 
 
 def _check_cancelable(m: int, v: np.ndarray, witnesses: dict[str, Witness]) -> bool:

@@ -369,6 +369,7 @@ def is_alpha_efx(
 # before any table is built (2^25 entries are 256 MiB as built in int64,
 # 128 MiB as kept in int32).
 TABLE_ENTRY_CAP = 1 << 25
+_INT32 = np.iinfo(np.int32)
 
 
 def _scan_size(inst: Instance, limit: int, chunk: int = 1) -> int:
@@ -391,14 +392,22 @@ def _scan_size(inst: Instance, limit: int, chunk: int = 1) -> int:
 
 def _cost_tables(inst: Instance) -> list[np.ndarray]:
     """Every agent's cost of every bundle, indexed by mask; refused up
-    front past :data:`TABLE_ENTRY_CAP` entries."""
+    front past :data:`TABLE_ENTRY_CAP` entries.  A table is kept in int32
+    when its values fit, and in int64 (never copied) when they do not."""
     entries = inst.n << inst.m
     if entries > TABLE_ENTRY_CAP:
         raise UnsupportedSizeError(
             f"dense cost tables need n * 2^m = {entries} entries, over the cap of "
             f"{TABLE_ENTRY_CAP}"
         )
-    return [value_table(fn, max_m=26).astype(np.int32) for fn in inst.agents]
+    return [_narrowed(value_table(fn, max_m=26)) for fn in inst.agents]
+
+
+def _narrowed(table: np.ndarray) -> np.ndarray:
+    # each int64 table is dropped as soon as its int32 copy exists
+    if _INT32.min <= table.min() and table.max() <= _INT32.max:
+        return table.astype(np.int32)
+    return table
 
 
 def _assignment_masks(n: int, m: int, ranks: np.ndarray) -> list[np.ndarray]:

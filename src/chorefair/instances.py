@@ -153,7 +153,7 @@ def descriptor_to_json(fn: Descriptor) -> dict:
     if isinstance(fn, Threshold):
         return {"type": "threshold", "k": fn.k}
     if isinstance(fn, Table):
-        return {"type": "table", "m": fn.m, "values": list(fn.values)}
+        return {"type": "table", "m": fn.m, "values": fn.tolist()}
     raise InvalidInputError(f"unknown descriptor kind: {type(fn).__name__}")
 
 
@@ -171,11 +171,7 @@ def _int_field(obj: dict, key: str, where: str) -> int:
 
 
 def _int_list(val: Any, where: str) -> list[int]:
-    # plain ints pass one type test in C; only a list holding something else
-    # is walked (bool is refused, other int subclasses pass)
-    if not isinstance(val, list) or not set(map(type, val)) <= {int} and any(
-        not isinstance(x, int) or isinstance(x, bool) for x in val
-    ):
+    if not isinstance(val, list) or costs._first_non_int(val) is not None:
         raise ParseError(f"{where}: expected a list of integers")
     return val
 
@@ -207,10 +203,11 @@ def descriptor_from_json(obj: Any, m: int, where: str = "descriptor") -> Descrip
         if kind == "threshold":
             return Threshold(k=_int_field(obj, "k", where), m=m)
         if kind == "table":
-            return Table(
-                m=_int_field(obj, "m", where),
-                values=tuple(_int_list(_require(obj, "values", where), f"{where}.values")),
-            )
+            table_m = _int_field(obj, "m", where)
+            values = _int_list(_require(obj, "values", where), f"{where}.values")
+            # walked once above: the table takes the packed buffer as checked
+            buf = costs._int64_buffer(values)
+            return Table(m=table_m, values=values if buf is None else buf)
     except InvalidInputError as exc:
         raise ParseError(f"{where}: {exc}") from exc
     raise ParseError(f"{where}.type: unknown descriptor type {kind!r}")
@@ -228,9 +225,49 @@ def instance_to_json(inst: Instance) -> dict:
     return out
 
 
+def _dumps(obj: Any) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _json_ints(v: np.ndarray) -> str:
+    """``_dumps(v.tolist())`` for non-negative int64 values, written one
+    decimal digit at a time over the whole array."""
+    digits = np.ones(len(v), dtype=np.int64)
+    power, top = 10, int(v.max())
+    while power <= top:
+        digits += v >= power
+        power *= 10
+    # value i ends at ends[i] - 1 and is followed by a comma, the last one
+    # by the closing bracket
+    ends = np.cumsum(digits + 1)
+    out = np.full(int(ends[-1]) + 1, ord(","), dtype=np.uint8)
+    out[0], out[-1] = ord("["), ord("]")
+    rest = v.copy()
+    for d in range(int(digits.max())):
+        has = digits > d
+        out[(ends - 1 - d)[has]] = rest[has] % 10 + ord("0")
+        rest //= 10
+    return out.tobytes().decode("ascii")
+
+
+def _descriptor_text(fn: Descriptor) -> str:
+    if not isinstance(fn, Table) or fn._view is None:
+        return _dumps(descriptor_to_json(fn))
+    # "values" sorts after "m" and "type"; table values are never negative
+    return _dumps({"m": fn.m, "type": "table"})[:-1] + ',"values":' + _json_ints(fn._view) + "}"
+
+
 def serialize_instance(inst: Instance) -> str:
-    """Canonical JSON form (sorted keys, fixed separators, trailing newline)."""
-    return json.dumps(instance_to_json(inst), sort_keys=True, separators=(",", ":")) + "\n"
+    """Canonical JSON form (sorted keys, fixed separators, trailing newline):
+    the text of ``json.dumps(instance_to_json(inst), sort_keys=True,
+    separators=(",", ":"))``, with each table's values written straight
+    from its int64 buffer."""
+    head = {"n": inst.n, "m": inst.m, "declared_class": inst.declared_class}
+    if inst.metadata:
+        head["metadata"] = inst.metadata
+    agents = ",".join(map(_descriptor_text, inst.agents))
+    # "agents" sorts before every other top-level key
+    return '{"agents":[' + agents + "]," + _dumps(head)[1:] + "\n"
 
 
 def parse_instance(text: str | bytes) -> Instance:

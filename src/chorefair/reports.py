@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, NamedTuple
 
-from . import fairness
-from .costs import Additive, Table, _check_additive, value_table
+from . import fairness, oracle
+from .costs import Additive, Table, _check_additive_once
 from .fairness import Allocation
 from .instances import Instance
 from .itemset import size
@@ -54,9 +54,27 @@ TAG_CHECKS: dict[GuaranteeTag, Promise] = {
 
 
 def _additive_floor(inst: Instance) -> int:
-    """Items no agent takes for free; under additive costs every complete
-    allocation costs at least one per such item."""
+    """Items no agent takes for free; under binary additive costs every
+    complete allocation costs at least one per such item."""
     return sum(all(fairness.evaluate(fn, 1 << e) for fn in inst.agents) for e in range(inst.m))
+
+
+def _minimal_social_cost(inst: Instance, alloc: Allocation) -> bool:
+    """The allocation costs the least social cost of any complete one.
+
+    That least cost is the additive floor when every agent is proved
+    binary additive, the one agent's price of every item when there is
+    one agent, and the oracle's exact minimum when n^m <= PO_SCAN_LIMIT;
+    anywhere else the property is unproved and fails, as ``po`` does.
+    """
+    cost = fairness.social_cost(inst, alloc)
+    if _binary_additive(inst):
+        return cost == _additive_floor(inst)
+    if inst.n == 1:
+        return cost == fairness.evaluate(inst.agents[0], (1 << inst.m) - 1)
+    if inst.n**inst.m <= PO_SCAN_LIMIT:
+        return cost == oracle.analyze(inst, sections=("min-sc",)).min_social_cost
+    return False
 
 
 # Checkers are looked up on the fairness module at call time, so that a
@@ -67,9 +85,7 @@ CHECKS: dict[str, Callable[[Instance, Allocation], bool]] = {
     "efx": lambda inst, alloc: fairness.is_alpha_efx(inst, alloc, 1)[0],
     "2-ef": lambda inst, alloc: fairness.is_alpha_ef(inst, alloc, 2)[0],
     "2-efx": lambda inst, alloc: fairness.is_alpha_efx(inst, alloc, 2)[0],
-    "minimal-social-cost": lambda inst, alloc: (
-        fairness.social_cost(inst, alloc) == _additive_floor(inst)
-    ),
+    "minimal-social-cost": _minimal_social_cost,
     "leftover-at-most-n-minus-1": lambda inst, alloc: size(alloc.unallocated) <= inst.n - 1,
     "po": lambda inst, alloc: alloc.complete and fairness.is_po_bruteforce(inst, alloc)[0],
 }
@@ -129,7 +145,7 @@ def _binary_additive(inst: Instance) -> bool:
         or (
             isinstance(fn, Table)
             and fn.binary_marginal
-            and _check_additive(fn.m, value_table(fn), {})
+            and _check_additive_once(fn, {})
         )
         for fn in inst.agents
     )
@@ -140,27 +156,28 @@ def certify(inst: Instance, report: SolveReport) -> Certificate:
     and the allocation alone.
 
     Never raises on a failed property; the certificate records it.  The
-    social cost and its additive floor are priced once.  Pareto optimality
-    is decided exactly from that floor when every agent is proved binary
-    additive, at every size: an allocation at the floor has the least
-    social cost, which any Pareto improvement would lower, and one above
-    it gives some item to an agent paying 1 for it while another pays 0.
-    Otherwise it is scanned by brute force when n^m <= PO_SCAN_LIMIT, and
-    above that it is unproved: ``po`` fails, and no "not PO" note is added.
+    social cost and its least value are priced once.  Pareto optimality
+    is decided exactly from the additive floor when every agent is proved
+    binary additive, at every size: an allocation at the floor has the
+    least social cost, which any Pareto improvement would lower, and one
+    above it gives some item to an agent paying 1 for it while another
+    pays 0.  Otherwise it is scanned by brute force when n^m <=
+    PO_SCAN_LIMIT, and above that it is unproved: ``po`` fails, and no
+    "not PO" note is added.
     """
     alloc = report.allocation
     promise = TAG_CHECKS[report.guarantee]
     wants_po = "po" in promise.checks or promise.po_note
     by_floor = wants_po and _binary_additive(inst)
-    at_floor = None
+    minimal = None
     if by_floor or "minimal-social-cost" in promise.checks:
-        at_floor = CHECKS["minimal-social-cost"](inst, alloc)
+        minimal = CHECKS["minimal-social-cost"](inst, alloc)
     po: bool | None = None
     if by_floor:
-        po = alloc.complete and at_floor
+        po = alloc.complete and minimal
     elif wants_po and inst.n**inst.m <= PO_SCAN_LIMIT:
         po = CHECKS["po"](inst, alloc)
-    known = {"minimal-social-cost": at_floor, "po": bool(po)}
+    known = {"minimal-social-cost": minimal, "po": bool(po)}
     checks = {
         name: known[name] if name in known else CHECKS[name](inst, alloc)
         for name in promise.checks

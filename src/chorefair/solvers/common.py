@@ -8,7 +8,7 @@ from typing import Iterable
 from ..costs import (
     CostFunction,
     Table,
-    _check_additive,
+    _check_additive_once,
     _check_cancelable,
     _check_mask,
     _check_submodular,
@@ -27,12 +27,13 @@ from ..reports import CHECKS, TAG_CHECKS, GuaranteeTag, SolveReport, certify
 VERIFY_MAX_M = 12
 
 
-# The exhaustive test of each class a solver can require; "general" (binary
-# marginals) needs none beyond the marginal test every agent gets.
+# The exhaustive test of each class a solver can require, on the agent and
+# its witness dict; "general" (binary marginals) needs none beyond the
+# marginal test every agent gets.
 _CLASS_CHECKS = {
-    "additive": _check_additive,
-    "cancelable": _check_cancelable,
-    "submodular": _check_submodular,
+    "additive": _check_additive_once,
+    "cancelable": lambda fn, witnesses: _check_cancelable(fn.m, value_table(fn), witnesses),
+    "submodular": lambda fn, witnesses: _check_submodular(fn.m, value_table(fn), witnesses),
 }
 
 
@@ -49,7 +50,8 @@ def ensure_class(inst: Instance, required: str) -> None:
     mis-declared inputs there).  The one exception is additivity, which no
     runtime check can see but Pareto optimality rests on: explicit tables,
     the only agents that can be declared narrower than they are, are proved
-    additive at every size they support.
+    additive at every size they support.  A table keeps that verdict, which
+    :func:`certify` then reads.  Every test reads the table's own buffer.
     """
     if CLASS_RANK[inst.declared_class] > CLASS_RANK[required]:
         raise WrongClassError(
@@ -66,7 +68,7 @@ def ensure_class(inst: Instance, required: str) -> None:
             continue
         check = _CLASS_CHECKS.get(required)
         witnesses: dict = {}
-        if check is not None and not check(fn.m, value_table(fn), witnesses):
+        if check is not None and not check(fn, witnesses):
             raise WrongClassError(
                 f"agents[{i}] is declared {inst.declared_class!r} but is not "
                 f"{required} (witness: {witnesses.get(required)})"

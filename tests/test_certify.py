@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from chorefair import fairness, reports
 from chorefair.cli import main
-from chorefair.costs import Cardinality, Table, value_table
+from chorefair.costs import Cardinality, Table, Threshold, value_table
 from chorefair.errors import ChoreFairError, InternalInvariantError
 from chorefair.fairness import Allocation, is_po_bruteforce
 from chorefair.instances import (
@@ -24,6 +24,7 @@ from chorefair.reports import (
     TAG_CHECKS,
     GuaranteeTag,
     SolveReport,
+    _additive_floor,
     _binary_additive,
     certify,
 )
@@ -41,14 +42,16 @@ def test_certificate_records_each_promised_property():
     alloc = Allocation(n=2, m=3, bundles=(0b101, 0b010))
     cert = certify(inst, tagged(alloc, GuaranteeTag.EFX_AND_PO))
     assert list(cert.checks) == list(TAG_CHECKS[GuaranteeTag.EFX_AND_PO].checks)
+    # weights (2, 1, 0) / (2, 0, 1): item 0 costs 2 to either agent, so the
+    # least social cost is 2, which this allocation pays
     assert cert.checks == {
         "complete": True,
         "efx": False,
-        "minimal-social-cost": False,
+        "minimal-social-cost": True,
         "po": True,
     }
     assert not cert.passed
-    assert cert.failures == ["efx", "minimal-social-cost"]
+    assert cert.failures == ["efx"]
     assert cert.to_json() == {"tag": "efx+po", "checks": cert.checks, "passed": False}
     partial = certify(inst, tagged(alloc, GuaranteeTag.PARTIAL_EF))
     assert partial.checks == {"ef": False, "leftover-at-most-n-minus-1": True}
@@ -59,7 +62,8 @@ def test_certificate_records_each_promised_property():
 def test_false_efx_po_split_fails_exactly_po(monkeypatch):
     # the 7/6 split is EFX and meets the additive social-cost floor, but
     # handing everything to one agent costs 7 in total against its 13; the
-    # tables are not additive, so the floor decides nothing and PO is scanned
+    # tables are not additive, so the floor decides nothing: the oracle's
+    # minimum of 7 fails the social cost, and PO is scanned
     inst = cap7_pair()
     assert not _binary_additive(inst)
     scans = []
@@ -68,9 +72,43 @@ def test_false_efx_po_split_fails_exactly_po(monkeypatch):
     seven = (1 << 7) - 1
     split = Allocation(n=2, m=13, bundles=(seven, ((1 << 13) - 1) ^ seven))
     cert = certify(inst, tagged(split, GuaranteeTag.EFX_AND_PO))
-    assert cert.failures == ["po"]
+    assert cert.failures == ["minimal-social-cost", "po"]
     assert scans == [1]
     assert certify(inst, tagged(split, GuaranteeTag.EFX)).notes == ("not PO",)
+
+
+def _two_two_split(kind) -> tuple[Instance, Allocation]:
+    inst = Instance(n=2, m=4, agents=(kind, kind), declared_class="general")
+    return inst, Allocation(n=2, m=4, bundles=(0b0011, 0b1100))
+
+
+def test_minimal_social_cost_below_the_floor_fails():
+    # min(|S|, 3): the floor counts 4 items, yet one agent takes all four
+    # for 3; the 2/2 split meets the floor and is not minimal
+    inst, split = _two_two_split(Cardinality(cap=3, m=4))
+    assert _additive_floor(inst) == fairness.social_cost(inst, split) == 4
+    cert = certify(inst, tagged(split, GuaranteeTag.EFX_AND_PO))
+    assert cert.checks["minimal-social-cost"] is False
+
+
+def test_minimal_social_cost_above_the_floor_passes():
+    # max(0, |S| - 1): every singleton is free, so the floor is 0, and the
+    # 2/2 split's cost of 2 is the least any allocation pays
+    inst, split = _two_two_split(Threshold(k=1, m=4))
+    assert _additive_floor(inst) == 0 and fairness.social_cost(inst, split) == 2
+    cert = certify(inst, tagged(split, GuaranteeTag.EFX_AND_PO))
+    assert cert.checks["minimal-social-cost"] is True
+    assert cert.passed
+
+
+def test_one_agent_takes_the_least_social_cost_without_tables():
+    # 2^26 entries are past the scan's table cap; the one complete
+    # allocation is the minimum
+    card = Cardinality(cap=3, m=26)
+    inst = Instance(n=1, m=26, agents=(card,), declared_class="cancelable")
+    whole = Allocation(n=1, m=26, bundles=((1 << 26) - 1,))
+    cert = certify(inst, tagged(whole, GuaranteeTag.EFX_AND_PO))
+    assert cert.passed and cert.checks["minimal-social-cost"] is True
 
 
 def _as_tables(inst: Instance) -> Instance:
@@ -153,8 +191,8 @@ def test_po_beyond_the_scan_limit_is_decided_at_the_floor():
 
 def test_unproved_po_past_the_scan_limit_fails():
     # cancelable, not additive, 2^21 allocations: neither the floor nor the
-    # scan decides PO, and giving every item to agent 0 dominates the
-    # 11/10 split (costs (11, 0) against (11, 10))
+    # scan decides PO or the least social cost, and giving every item to
+    # agent 0 dominates the 11/10 split (costs (11, 0) against (11, 10))
     card = Cardinality(11, 21)
     inst = Instance(n=2, m=21, agents=(card, card), declared_class="cancelable")
     assert inst.n**inst.m > PO_SCAN_LIMIT and not _binary_additive(inst)
@@ -162,7 +200,7 @@ def test_unproved_po_past_the_scan_limit_fails():
     split = Allocation(n=2, m=21, bundles=(eleven, ((1 << 21) - 1) ^ eleven))
     cert = certify(inst, tagged(split, GuaranteeTag.EFX_AND_PO))
     assert not cert.passed
-    assert cert.failures == ["po"]
+    assert cert.failures == ["minimal-social-cost", "po"]
     assert cert.notes == ()
     cert = certify(inst, tagged(split, GuaranteeTag.EFX))
     assert cert.passed and cert.notes == ()

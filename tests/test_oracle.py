@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from chorefair import fairness, oracle
-from chorefair.costs import Additive, evaluate
+from chorefair.costs import Additive, Table, evaluate
 from chorefair.errors import InvalidInputError, UnsupportedSizeError
-from chorefair.fairness import Allocation, is_alpha_efx
+from chorefair.fairness import Allocation, _cost_tables, is_alpha_efx, is_po_bruteforce
 from chorefair.instances import Instance, builtin, generate
 from chorefair.oracle import (
     SECTIONS,
@@ -272,3 +272,41 @@ def test_oversized_tables_are_refused_before_any_is_built(monkeypatch):
         analyze(pair, limit=10**8, sections=("min-sc",))
     # no section asked for, no table needed
     assert analyze(wide, sections=()).to_json()["total_allocations"] == 1
+
+
+def _weighted(*weights):
+    return Table(m=len(weights), values=tuple(
+        sum(w for e, w in enumerate(weights) if s >> e & 1) for s in range(1 << len(weights))
+    ))
+
+
+def test_values_past_int32_do_not_wrap():
+    # two Table(1, (0, 2^31)) agents: either agent taking the item is EFX
+    # and costs 2^31 in total, which int32 tables wrapped to -2^31
+    big = Table(m=1, values=(0, 2**31))
+    pair = Instance(n=2, m=1, agents=(big, big), declared_class="general")
+    rep = analyze(pair)
+    assert rep.to_json() == brute_report(pair).to_json()
+    assert rep.min_social_cost == 2**31 and len(rep.efx_allocations) == 2
+    # items at 2^31 each: (2^31, 2^31) giving both to one agent costs 2^32,
+    # which wraps to 0 and would dominate agent 1 taking both at (0, 2)
+    wide = Instance(
+        n=2, m=2, agents=(_weighted(2**31, 2**31), _weighted(1, 1)), declared_class="general"
+    )
+    assert analyze(wide).to_json() == brute_report(wide).to_json()
+    front = {a.bundles for a in brute_report(wide).pareto_frontier}
+    allocs = []
+    enumerate_allocations(wide, allocs.append)
+    assert (0, 0b11) in front
+    for alloc in allocs:
+        assert is_po_bruteforce(wide, alloc)[0] == (alloc.bundles in front)
+
+
+def test_tables_keep_int32_where_their_values_fit():
+    tables = _cost_tables(generate("cardinality", 3, 11, seed=0))
+    assert [t.dtype for t in tables] == [np.int32] * 3
+    edge = Instance(
+        n=2, m=1, agents=(Table(m=1, values=(0, 2**31 - 1)), Table(m=1, values=(0, 2**31))),
+        declared_class="general",
+    )
+    assert [t.dtype for t in _cost_tables(edge)] == [np.int32, np.int64]
