@@ -5,8 +5,12 @@ descriptor kind here is monotone with marginals in {0, 1} by construction,
 except ``Table`` which stores arbitrary explicit values (monotonicity and a
 zero empty set are enforced at construction; binary marginals are recorded
 as a property so checkers can consume non-binary tables that solvers must
-reject).  A ``Table`` keeps its values once, in one int64 buffer, and
-:func:`value_table` hands out a read-only view of it instead of a copy.
+reject).  Every value of every dense table lies within ±:data:`COST_MAX`,
+the int32 range: ``Table`` refuses any other value where it is built, and
+so does :func:`value_table` for the functions it evaluates, so that int64
+sums and differences of table values never wrap.  A ``Table`` keeps its
+values once, in one int64 buffer, and :func:`value_table` hands out a
+read-only view of it instead of a copy.
 
 Descriptors expose ``m`` (ground-set size), ``value(mask)`` and
 ``marginal(item, mask)``.  Every kind, and every residual view, answers
@@ -40,6 +44,11 @@ CHECK_CLASS_MAX_M = 20
 
 # Explicit tables get dense storage, so they share the same hard cap.
 TABLE_MAX_M = 20
+
+# The largest |value| a dense value table may hold: the int32 range, so
+# that scan tables narrow to int32 and int64 sums of up to 2^32 of them
+# cannot wrap.  The paper's costs stay far below it (at most m).
+COST_MAX = (1 << 31) - 1
 
 
 @runtime_checkable
@@ -248,12 +257,20 @@ def _int64_buffer(values: Sequence[int]) -> array | None:
         return None
 
 
+def _range_error(values: Sequence[int]) -> InvalidInputError:
+    """The refusal of a table holding a value past ±:data:`COST_MAX`; it
+    names the lowest mask that holds one."""
+    mask, v = next((s, v) for s, v in enumerate(values) if not -COST_MAX <= v <= COST_MAX)
+    return InvalidInputError(f"table value at mask {mask} lies outside ±{COST_MAX}: {v}")
+
+
 class Table:
     """Explicit values indexed by subset bitmask.
 
     ``values[mask]`` is the cost of the subset ``mask``; there must be
-    exactly 2^m values.  Construction enforces integrality, value(∅)=0
-    and monotonicity.  Non-binary marginals are permitted (the built-in
+    exactly 2^m values.  Construction enforces, in this order,
+    integrality, value(∅)=0, |value| <= :data:`COST_MAX` and
+    monotonicity.  Non-binary marginals are permitted (the built-in
     counterexample with per-item cost 2 needs them) and are reflected in
     :attr:`binary_marginal`; solvers refuse such functions, checkers and
     the enumeration oracle accept them.
@@ -261,11 +278,9 @@ class Table:
     The values are stored once, in one int64 buffer (an ``array("q")``)
     built at construction.  ``value`` and ``marginal`` index it,
     :func:`value_table` returns a read-only numpy view of it with no copy,
-    and ``values`` reads it back as a tuple.  A table holding a value
-    outside ±2^62 keeps a tuple of Python ints instead, so that no int64
-    difference can wrap.  Tables are immutable; they compare, hash and
-    pickle by ``m`` and ``values``.  An ``array("q")`` argument holds
-    integers only, so it skips the type walk.
+    and ``values`` reads it back as a tuple.  Tables are immutable; they
+    compare, hash and pickle by ``m`` and ``values``.  An ``array("q")``
+    argument holds integers only, so it skips the type walk.
     """
 
     __slots__ = ("m", "binary_marginal", "_values", "_view", "_additive")
@@ -290,20 +305,16 @@ class Table:
                 )
         if values[0] != 0:
             raise InvalidInputError(f"table value for the empty set must be 0, got {values[0]}")
-        # Dropping any single element must not increase the value; steps of
-        # more than 1 are legal but mark the table as non-binary.  Values
-        # too large for int64 differences are compared as Python ints.
         buf = array("q", values) if checked else _int64_buffer(values)
         view = None if buf is None else np.frombuffer(buf, dtype=np.int64)
-        if view is not None and -(1 << 62) <= view.min() and view.max() < 1 << 62:
-            view.flags.writeable = False
-            v = view
-        else:
-            buf, view = tuple(values), None
-            v = np.array(buf, dtype=object)
-        binary, monotone = _check_marginals(m, v, {})
+        if view is None or view.min() < -COST_MAX or view.max() > COST_MAX:
+            raise _range_error(values)
+        view.flags.writeable = False
+        # Dropping any single element must not increase the value; steps of
+        # more than 1 are legal but mark the table as non-binary.
+        binary, monotone = _check_marginals(m, view, {})
         if not monotone:
-            mask, e = _first_rise(m, v)
+            mask, e = _first_rise(m, view)
             raise InvalidInputError(
                 f"table is not monotone: value({mask ^ (1 << e)}) > value({mask})"
             )
@@ -318,8 +329,7 @@ class Table:
 
     def tolist(self) -> list[int]:
         """The values as a new list, read straight from the buffer."""
-        values = self._values
-        return values.tolist() if isinstance(values, array) else list(values)
+        return self._values.tolist()
 
     def value(self, mask: ItemSet) -> int:
         return self._values[mask]
@@ -436,7 +446,9 @@ def value_table(fn: CostFunction, max_m: int = CHECK_CLASS_MAX_M) -> np.ndarray:
 
     A :class:`Table` returns a read-only view of its own int64 buffer, with
     no copy.  Closed-form kinds are filled with vectorised recurrences
-    instead of 2^m Python calls.
+    instead of 2^m Python calls.  Any other function is evaluated mask by
+    mask, and refused as :class:`Table` refuses it when a value lies past
+    ±:data:`COST_MAX`.
     """
     m = fn.m
     if m > max_m:
@@ -444,7 +456,7 @@ def value_table(fn: CostFunction, max_m: int = CHECK_CLASS_MAX_M) -> np.ndarray:
     n_masks = 1 << m
     if isinstance(fn, Table):
         # the table's own buffer, read-only and uncopied
-        return fn._view if fn._view is not None else np.asarray(fn._values, dtype=np.int64)
+        return fn._view
     if isinstance(fn, (Additive, CappedAdditive)):
         out = _weighted_counts(m, [1 if c else 0 for c in fn.costs])
         if isinstance(fn, CappedAdditive):
@@ -462,7 +474,10 @@ def value_table(fn: CostFunction, max_m: int = CHECK_CLASS_MAX_M) -> np.ndarray:
             out += np.minimum(pc[idx & gmask], cap)
         return out
     # Generic fallback (residual views, user-defined evaluables).
-    return np.fromiter((fn.value(s) for s in range(n_masks)), dtype=np.int64, count=n_masks)
+    values = [fn.value(s) for s in range(n_masks)]
+    if min(values) < -COST_MAX or max(values) > COST_MAX:
+        raise _range_error(values)
+    return np.array(values, dtype=np.int64)
 
 
 def _popcounts(m: int) -> np.ndarray:
@@ -689,21 +704,18 @@ def _check_cancelable(m: int, v: np.ndarray, witnesses: dict[str, Witness]) -> b
     needs two equal bases with steps 1 and 0; one count of (base, step)
     pairs rules that out, and only an item it does not clear is sorted.
     """
-    # int64 differences of values below 2^62 in size cannot wrap
-    counted = v.dtype != object and -(1 << 62) < v.min() and v.max() < 1 << 62
     for e in range(m):
         bit = 1 << e
         w = v.reshape(-1, 2, bit)
         base = w[:, 0].ravel()
         after = w[:, 1].ravel()
-        if counted:
-            step = after - base
-            low = int(base.min())
-            span = int(base.max()) - low + 1
-            if span <= 4 * base.size and step.min() >= 0 and step.max() <= 1:
-                pairs = np.bincount((base - low) * 2 + step, minlength=2 * span)
-                if not pairs.reshape(-1, 2).min(axis=1).any():
-                    continue
+        step = after - base
+        low = int(base.min())
+        span = int(base.max()) - low + 1
+        if span <= 4 * base.size and step.min() >= 0 and step.max() <= 1:
+            pairs = np.bincount((base - low) * 2 + step, minlength=2 * span)
+            if not pairs.reshape(-1, 2).min(axis=1).any():
+                continue
         order = np.argsort(base, kind="stable")
         sb, sa = base[order], after[order]
         starts = np.flatnonzero(np.r_[True, sb[1:] != sb[:-1]])
@@ -831,4 +843,5 @@ __all__ = [
     "value_table",
     "CHECK_CLASS_MAX_M",
     "TABLE_MAX_M",
+    "COST_MAX",
 ]

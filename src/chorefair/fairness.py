@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple, Protocol
+from typing import Iterator, NamedTuple, Protocol
 
 import numpy as np
 
@@ -369,7 +369,6 @@ def is_alpha_efx(
 # before any table is built (2^25 entries are 256 MiB as built in int64,
 # 128 MiB as kept in int32).
 TABLE_ENTRY_CAP = 1 << 25
-_INT32 = np.iinfo(np.int32)
 
 
 def _scan_size(inst: Instance, limit: int, chunk: int = 1) -> int:
@@ -391,23 +390,17 @@ def _scan_size(inst: Instance, limit: int, chunk: int = 1) -> int:
 
 
 def _cost_tables(inst: Instance) -> list[np.ndarray]:
-    """Every agent's cost of every bundle, indexed by mask; refused up
-    front past :data:`TABLE_ENTRY_CAP` entries.  A table is kept in int32
-    when its values fit, and in int64 (never copied) when they do not."""
+    """Every agent's int32 cost of every bundle, indexed by mask; refused
+    up front past :data:`TABLE_ENTRY_CAP` entries.  Every value table lies
+    within ±COST_MAX, so it narrows without loss, and int64 sums of up to
+    2^32 such costs cannot wrap."""
     entries = inst.n << inst.m
     if entries > TABLE_ENTRY_CAP:
         raise UnsupportedSizeError(
             f"dense cost tables need n * 2^m = {entries} entries, over the cap of "
             f"{TABLE_ENTRY_CAP}"
         )
-    return [_narrowed(value_table(fn, max_m=26)) for fn in inst.agents]
-
-
-def _narrowed(table: np.ndarray) -> np.ndarray:
-    # each int64 table is dropped as soon as its int32 copy exists
-    if _INT32.min <= table.min() and table.max() <= _INT32.max:
-        return table.astype(np.int32)
-    return table
+    return [value_table(fn, max_m=26).astype(np.int32) for fn in inst.agents]
 
 
 def _assignment_masks(n: int, m: int, ranks: np.ndarray) -> list[np.ndarray]:
@@ -537,74 +530,37 @@ def build_envy_graph(inst: Instance, alloc: Allocation) -> EnvyGraph:
     return CostMatrix(inst.agents, alloc.bundles).graph()
 
 
-def strongly_connected_components(n: int, successors: Callable[[int], list[int]]) -> list[list[int]]:
-    """Iterative Tarjan; components are returned in completion order with
-    sorted members."""
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
-    adjacency = [successors(v) for v in range(n)]
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, ptr = work.pop()
-            if ptr == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            descended = False
-            succ = adjacency[v]
-            while ptr < len(succ):
-                w = succ[ptr]
-                ptr += 1
-                if index[w] == -1:
-                    work.append((v, ptr))
-                    work.append((w, 0))
-                    descended = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if descended:
-                continue
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(sorted(comp))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-    return comps
+def _closure(adjacency: list[int], v: int) -> int:
+    """Bitmask of the agents reachable from v, v included, where
+    ``adjacency[w]`` is the bitmask of w's neighbours."""
+    seen = frontier = 1 << v
+    while frontier:
+        grown = 0
+        for w in iter_items(frontier):
+            grown |= adjacency[w]
+        frontier = grown & ~seen
+        seen |= frontier
+    return seen
 
 
 def tail_scc(graph: EnvyGraph) -> frozenset[int]:
     """A strongly connected component with no edges leaving it.
 
-    Deterministic choice: among all such components, the one containing the
-    lowest-numbered agent.
+    Agent v lies in such a component iff every agent it reaches reaches v
+    back, and the component is then v plus what v reaches.  Deterministic
+    choice: the first v that qualifies, the lowest agent of any such
+    component.
     """
-    comps = strongly_connected_components(graph.n, graph.successors)
-    comp_of = {}
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
-    has_exit = [False] * len(comps)
+    succ = [0] * graph.n
+    pred = [0] * graph.n
     for i, j in graph.edges:
-        if comp_of[i] != comp_of[j]:
-            has_exit[comp_of[i]] = True
-    tails = [comp for ci, comp in enumerate(comps) if not has_exit[ci]]
-    best = min(tails, key=lambda comp: comp[0])
-    return frozenset(best)
+        succ[i] |= 1 << j
+        pred[j] |= 1 << i
+    for v in range(graph.n):
+        ahead = _closure(succ, v)
+        if not ahead & ~_closure(pred, v):
+            return frozenset(iter_items(ahead))
+    raise InvalidInputError("an envy graph without agents has no component")
 
 
 def find_cycle_through_edge(graph: EnvyGraph, i: int, j: int) -> list[int] | None:
@@ -648,7 +604,6 @@ __all__ = [
     "build_envy_graph",
     "tail_scc",
     "find_cycle_through_edge",
-    "strongly_connected_components",
     "CostMatrix",
     "ENUMERATION_HARD_CAP",
     "DEFAULT_ENUMERATION_LIMIT",

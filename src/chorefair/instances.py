@@ -54,24 +54,31 @@ BUILTIN_NAMES = (
 # Random explicit tables need dense storage during generation.
 TABLE_FAMILY_MAX_M = 12
 
+# The class each closed-form kind provably belongs to, by exact type:
+# capped and symmetric functions are cancelable but not additive in
+# general, matroid ranks are submodular, and thresholds have growing
+# marginals, which rules every narrower class out.
+_KIND_CLASS = {
+    Additive: "additive",
+    CappedAdditive: "cancelable",
+    Cardinality: "cancelable",
+    PartitionMatroidRank: "submodular",
+    Threshold: "general",
+}
+
 
 def declaration_bound(fn: Descriptor) -> str:
     """Narrowest class an instance containing this kind may declare.
 
-    Closed-form kinds pin the declaration to what they provably are:
-    capped and symmetric functions are cancelable but not additive in
-    general, matroid ranks are submodular, and thresholds have growing
-    marginals, which rules every narrower class out.  Explicit tables are
-    unconstrained here; a declaration naming a narrower class is a claim
-    that solver gates verify exhaustively on small ground sets.
+    Closed-form kinds pin the declaration to what they provably are
+    (``_KIND_CLASS``); any other cost function proves nothing and may
+    only be declared general.  Explicit tables are unconstrained here; a
+    declaration naming a narrower class is a claim that solver gates
+    verify exhaustively on small ground sets.
     """
-    if isinstance(fn, (Additive, Table)):
+    if isinstance(fn, Table):
         return "additive"
-    if isinstance(fn, (CappedAdditive, Cardinality)):
-        return "cancelable"
-    if isinstance(fn, PartitionMatroidRank):
-        return "submodular"
-    return "general"  # Threshold
+    return _KIND_CLASS.get(type(fn), "general")
 
 
 def kind_guarantees(fn: Descriptor, cls: str) -> bool:
@@ -81,18 +88,13 @@ def kind_guarantees(fn: Descriptor, cls: str) -> bool:
     a kind-level guarantee is trusted, anything else falls back to the
     declaration plus runtime invariant checks.  Classes are nested, so a
     kind guaranteeing a narrow class proves every broader one; "general"
-    here means monotone with binary marginals.
+    here means monotone with binary marginals.  A cost function of no
+    known kind guarantees nothing.
     """
     if isinstance(fn, Table):
         return cls == "general" and fn.binary_marginal
-    guaranteed = {
-        Additive: "additive",
-        CappedAdditive: "cancelable",
-        Cardinality: "cancelable",
-        PartitionMatroidRank: "submodular",
-        Threshold: "general",
-    }[type(fn)]
-    return CLASS_RANK[guaranteed] <= CLASS_RANK[cls]
+    guaranteed = _KIND_CLASS.get(type(fn))
+    return guaranteed is not None and CLASS_RANK[guaranteed] <= CLASS_RANK[cls]
 
 
 @dataclass(frozen=True)
@@ -251,7 +253,7 @@ def _json_ints(v: np.ndarray) -> str:
 
 
 def _descriptor_text(fn: Descriptor) -> str:
-    if not isinstance(fn, Table) or fn._view is None:
+    if not isinstance(fn, Table):
         return _dumps(descriptor_to_json(fn))
     # "values" sorts after "m" and "type"; table values are never negative
     return _dumps({"m": fn.m, "type": "table"})[:-1] + ',"values":' + _json_ints(fn._view) + "}"

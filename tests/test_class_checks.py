@@ -220,6 +220,26 @@ def test_gate_refuses_non_binary_tables_at_every_size(declared, m):
         solve_auto(inst)
 
 
+class _CappedCount:
+    """``weight * min(|S|, 2)`` as a protocol object of no descriptor kind."""
+
+    def __init__(self, m: int, weight: int = 1) -> None:
+        self.m, self.weight = m, weight
+
+    def value(self, mask: int) -> int:
+        return self.weight * min(mask.bit_count(), 2)
+
+
+def test_gate_tests_protocol_objects_like_tables():
+    # a kind the gate does not know proves nothing, so its marginals are read
+    # through value_table
+    good = Instance(n=2, m=3, agents=(_CappedCount(3),) * 2, declared_class="general")
+    assert solve_auto(good, verify=True).verification.passed
+    doubled = Instance(n=2, m=3, agents=(_CappedCount(3, 2),) * 2, declared_class="general")
+    with pytest.raises(WrongClassError, match=r"^agents\[0\] has marginals outside \{0, 1\}$"):
+        solve_auto(doubled, verify=True)
+
+
 def test_check_class_size_cap():
     with pytest.raises(UnsupportedSizeError):
         check_class(Cardinality(cap=2, m=21))

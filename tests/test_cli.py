@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from chorefair import cli
 from chorefair.cli import main
-from chorefair.costs import Additive, Cardinality, Table
+from chorefair.costs import COST_MAX, Additive, Cardinality, Table
 from chorefair.instances import Instance, builtin, load_instance, serialize_instance
 from helpers import cap7_pair
 
@@ -429,6 +429,34 @@ class TestPlumbing:
             "error: instance: declared_class must be one of ('additive', "
             "'cancelable', 'submodular', 'general'), got []"
         ]
+
+    @pytest.mark.parametrize("value", [2**31, 2**63, 10**30])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--verify"],
+            ["verify", "--criteria", "efx,po"],
+            ["check-class"],
+            ["enumerate", "--report", "min-sc"],
+        ],
+    )
+    def test_values_past_cost_max_exit_2_in_one_line(self, capsys, tmp_path, argv, value):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({
+            "n": 2,
+            "m": 1,
+            "declared_class": "general",
+            "agents": [
+                {"type": "table", "m": 1, "values": [0, value]},
+                {"type": "cardinality", "cap": 1},
+            ],
+        }))
+        if argv[0] == "verify":
+            argv = [*argv, "--allocation", write_allocation(tmp_path, [[0], []])]
+        code, out, err = run(capsys, *argv, "--input", str(path))
+        assert code == 2 and out == ""
+        message = f"agents[0]: table value at mask 1 lies outside ±{COST_MAX}: {value}"
+        assert err == f"error: {message}\n"
 
     def test_no_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

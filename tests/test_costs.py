@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chorefair.costs import (
+    COST_MAX,
     Additive,
     CappedAdditive,
     Cardinality,
@@ -130,6 +131,9 @@ def _loop_verdict(values):
             return f"table value at mask {mask} is not an integer: {v!r}"
     if values[0] != 0:
         return f"table value for the empty set must be 0, got {values[0]}"
+    for mask, v in enumerate(values):
+        if not -COST_MAX <= v <= COST_MAX:
+            return f"table value at mask {mask} lies outside ±{COST_MAX}: {v}"
     binary = True
     for mask in range(len(values)):
         for e in iter_items(mask):
@@ -161,7 +165,7 @@ def _table_verdict(m, values):
         # values past the int64 range
         (2, (0, 10**30, 1, 10**30 - 1)),
         (2, (0, 10**30, 1, 10**30 + 1)),
-        # either side of +-2^62, where the int64 path ends, and of int64
+        # either side of +-2^62 and of the int64 range: all past COST_MAX
         (2, (0, 2**62 - 1, 1, 2**62 - 2)),
         (2, (0, 2**62, 1, 2**62 - 1)),
         (2, (0, 2**62 - 1, 2**62 - 1, 2**62)),
@@ -175,6 +179,12 @@ def _table_verdict(m, values):
         (2, (0, 1, 2, 1.0)),
         (2, (0, 1, True, 1)),
         (1, (3, 4)),
+        # either side of +-COST_MAX; the range test runs before monotonicity
+        (2, (0, COST_MAX, COST_MAX, COST_MAX)),
+        (2, (0, COST_MAX, 1, COST_MAX + 1)),
+        (1, (0, -COST_MAX)),
+        (1, (0, -COST_MAX - 1)),
+        (2, (0, 5, -1, COST_MAX + 1)),
     ],
 )
 def test_table_validation_messages_follow_mask_order(m, values):

@@ -32,7 +32,6 @@ from chorefair.fairness import (
     is_alpha_efx,
     is_po_bruteforce,
     social_cost,
-    strongly_connected_components,
     tail_scc,
 )
 from chorefair.instances import Instance, builtin
@@ -470,6 +469,19 @@ def test_envy_graph_successors_match_an_edge_scan(n, pairs):
     assert graph == twin and hash(graph) == hash(twin) == hash((n, edges))
     assert repr(graph) == f"EnvyGraph(n={n}, edges={edges!r})"
     assert graph != EnvyGraph(n=n + 1, edges=edges)
+    # the tail component against a plain closure: each member reaches
+    # exactly the component, and no such component has a lower agent
+    reach = [{i} for i in range(n)]
+    grew = True
+    while grew:
+        grew = False
+        for i, j in edges:
+            if not reach[j] <= reach[i]:
+                reach[i] |= reach[j]
+                grew = True
+    tail = tail_scc(graph)
+    assert all(reach[v] == tail for v in tail)
+    assert min(tail) == min(v for v in range(n) if all(reach[w] == reach[v] for w in reach[v]))
 
 
 def test_cycle_search():
@@ -490,9 +502,3 @@ def test_tail_scc_selection():
     assert tail_scc(edgeless) == frozenset({0})
     ring = EnvyGraph(n=3, edges=frozenset({(0, 1), (1, 2), (2, 0)}))
     assert tail_scc(ring) == frozenset({0, 1, 2})
-
-
-def test_strongly_connected_components_partition():
-    edges = {0: [1], 1: [0], 2: [1]}
-    comps = strongly_connected_components(3, lambda v: edges.get(v, []))
-    assert sorted(sorted(c) for c in comps) == [[0, 1], [2]]

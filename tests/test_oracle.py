@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from chorefair import fairness, oracle
-from chorefair.costs import Additive, Table, evaluate
+from chorefair.costs import COST_MAX, Additive, Table, evaluate
 from chorefair.errors import InvalidInputError, UnsupportedSizeError
 from chorefair.fairness import Allocation, _cost_tables, is_alpha_efx, is_po_bruteforce
 from chorefair.instances import Instance, builtin, generate
@@ -274,39 +274,34 @@ def test_oversized_tables_are_refused_before_any_is_built(monkeypatch):
     assert analyze(wide, sections=()).to_json()["total_allocations"] == 1
 
 
-def _weighted(*weights):
-    return Table(m=len(weights), values=tuple(
-        sum(w for e, w in enumerate(weights) if s >> e & 1) for s in range(1 << len(weights))
-    ))
-
-
 def test_values_past_int32_do_not_wrap():
-    # two Table(1, (0, 2^31)) agents: either agent taking the item is EFX
-    # and costs 2^31 in total, which int32 tables wrapped to -2^31
-    big = Table(m=1, values=(0, 2**31))
-    pair = Instance(n=2, m=1, agents=(big, big), declared_class="general")
+    # two Table(2, (0, C, C, C)) agents, C = COST_MAX: an item each costs
+    # 2^32 - 2 in total, past int32, in the oracle's int64 row sums
+    top = Table(m=2, values=(0, COST_MAX, COST_MAX, COST_MAX))
+    pair = Instance(n=2, m=2, agents=(top, top), declared_class="general")
     rep = analyze(pair)
     assert rep.to_json() == brute_report(pair).to_json()
-    assert rep.min_social_cost == 2**31 and len(rep.efx_allocations) == 2
-    # items at 2^31 each: (2^31, 2^31) giving both to one agent costs 2^32,
-    # which wraps to 0 and would dominate agent 1 taking both at (0, 2)
-    wide = Instance(
-        n=2, m=2, agents=(_weighted(2**31, 2**31), _weighted(1, 1)), declared_class="general"
-    )
-    assert analyze(wide).to_json() == brute_report(wide).to_json()
-    front = {a.bundles for a in brute_report(wide).pareto_frontier}
+    assert rep.min_social_cost == COST_MAX
+    front = {a.bundles for a in rep.pareto_frontier}
     allocs = []
-    enumerate_allocations(wide, allocs.append)
-    assert (0, 0b11) in front
+    enumerate_allocations(pair, allocs.append)
     for alloc in allocs:
-        assert is_po_bruteforce(wide, alloc)[0] == (alloc.bundles in front)
+        assert is_po_bruteforce(pair, alloc)[0] == (alloc.bundles in front)
+    # values that once wrapped the int64 row sums are refused where the
+    # table is built
+    with pytest.raises(InvalidInputError, match="mask 1 lies outside"):
+        Table(m=2, values=(0, 2**62, 2**62, 2**62))
 
 
 def test_tables_keep_int32_where_their_values_fit():
+    # every value table fits int32, so every scan table is kept in it
     tables = _cost_tables(generate("cardinality", 3, 11, seed=0))
     assert [t.dtype for t in tables] == [np.int32] * 3
     edge = Instance(
-        n=2, m=1, agents=(Table(m=1, values=(0, 2**31 - 1)), Table(m=1, values=(0, 2**31))),
+        n=2,
+        m=1,
+        agents=(Table(m=1, values=(0, COST_MAX)), Table(m=1, values=(0, 0))),
         declared_class="general",
     )
-    assert [t.dtype for t in _cost_tables(edge)] == [np.int32, np.int64]
+    assert [t.tolist() for t in _cost_tables(edge)] == [[0, COST_MAX], [0, 0]]
+    assert [t.dtype for t in _cost_tables(edge)] == [np.int32] * 2

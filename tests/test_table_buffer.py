@@ -2,8 +2,9 @@
 
 Built from a tuple or parsed from JSON, a table is the same object to every
 caller: equal, hashed alike, picklable, and read by ``value_table`` through
-a read-only view of that buffer.  Values outside +-2^62 keep the object
-path, and every refusal names the same first bad index as before.
+a read-only view of that buffer.  A value past +-COST_MAX is refused,
+with one message from every route, and every refusal names the first bad
+index.
 """
 
 import json
@@ -15,7 +16,7 @@ import pytest
 
 from chorefair import analyze, solve_auto
 from chorefair import costs as costs_module
-from chorefair.costs import Cardinality, Table, evaluate, marginal, value_table
+from chorefair.costs import COST_MAX, Cardinality, Table, evaluate, marginal, value_table
 from chorefair.errors import InvalidInputError, ParseError
 from chorefair.instances import (
     GENERATOR_FAMILIES,
@@ -86,38 +87,61 @@ def test_tables_are_immutable():
         del fn.binary_marginal
 
 
-# the edges tests/test_costs.py pins: either side of +-2^62, where the int64
-# path ends, and of the int64 range itself
-EDGES = (2**62 - 1, 2**62, 2**63 - 1, 2**63, 2**63 + 1)
+class _Listed:
+    """A cost function given by its values, of no descriptor kind, so that
+    ``value_table`` evaluates it mask by mask."""
+
+    def __init__(self, values):
+        self.values, self.m = values, len(values).bit_length() - 1
+
+    def value(self, mask):
+        return self.values[mask]
 
 
-@pytest.mark.parametrize("top", EDGES)
-def test_values_at_the_int64_edges_read_alike_everywhere(top):
+def test_values_at_cost_max_read_alike_everywhere():
+    top = COST_MAX
     values = (0, top - 1, top - 1, top)
     for fn in (Table(m=2, values=values), _parsed(2, values)):
         assert fn.values == values
         assert [evaluate(fn, s) for s in range(4)] == list(values)
         assert marginal(fn, 1, 0b01) == 1 and marginal(fn, 0, 0) == top - 1
         assert fn.binary_marginal is False
-        if top < 2**63:
-            assert value_table(fn).tolist() == list(values)
-        else:
-            with pytest.raises(OverflowError):
-                value_table(fn)
+        assert value_table(fn).tolist() == list(values)
         inst = Instance(n=1, m=2, agents=(fn,), declared_class="general")
         text = serialize_instance(inst)
         assert text == json.dumps(instance_to_json(inst), sort_keys=True, separators=(",", ":")) + "\n"
         assert parse_instance(text) == inst
+    assert value_table(_Listed(values)).tolist() == list(values)
 
 
-@pytest.mark.parametrize("low", (-(2**62), -(2**62) - 1, -(2**63), -(2**63) - 1))
-def test_negative_edges_fail_monotonicity_alike(low):
+def test_minus_cost_max_passes_the_range_test_and_fails_monotonicity_alike():
     message = "table is not monotone: value(0) > value(1)"
     with pytest.raises(InvalidInputError) as built:
-        Table(m=1, values=(0, low))
+        Table(m=1, values=(0, -COST_MAX))
     with pytest.raises(ParseError) as parsed:
-        _parsed(1, (0, low))
+        _parsed(1, (0, -COST_MAX))
     assert str(built.value) == message
+    assert str(parsed.value) == f"agents[0]: {message}"
+
+
+# just past +-COST_MAX, and either side of +-2^62 and of the int64 range,
+# where tables once changed storage
+PAST_COST_MAX = (COST_MAX + 1, -COST_MAX - 1, 2**62 - 1, 2**62, 2**63 - 1, 2**63, 2**63 + 1)
+PAST_COST_MAX += (-(2**62), -(2**62) - 1, -(2**63), -(2**63) - 1)
+
+
+@pytest.mark.parametrize("top", PAST_COST_MAX)
+def test_values_at_the_int64_edges_read_alike_everywhere(top):
+    # Table, the JSON reader and value_table refuse alike, at the value's mask
+    values = (0, 1, top, top)
+    message = f"table value at mask 2 lies outside ±{COST_MAX}: {top}"
+    with pytest.raises(InvalidInputError) as built:
+        Table(m=2, values=values)
+    with pytest.raises(ParseError) as parsed:
+        _parsed(2, values)
+    with pytest.raises(InvalidInputError) as evaluated:
+        value_table(_Listed(values))
+    assert str(built.value) == str(evaluated.value) == message
     assert str(parsed.value) == f"agents[0]: {message}"
 
 
@@ -154,7 +178,7 @@ def test_serialized_text_matches_json_dumps():
                 m=m,
                 agents=tuple(
                     Table(m=m, values=tuple(int(x) * k for x in value_table(fn)))
-                    for fn, k in zip(inst.agents, (1, 10**15 + 7))
+                    for fn, k in zip(inst.agents, (1, 10**8 + 7))
                 ),
                 declared_class="general",
                 metadata={"name": "é", "z": [1, None], "a": {"y": 1, "b": True}},
