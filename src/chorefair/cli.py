@@ -21,6 +21,7 @@ from .bench import DEFAULT_MS, DEFAULT_NS, DEFAULT_RUNS, run_bench
 from .costs import CHECK_CLASS_MAX_M, check_class, sample_class
 from .errors import ChoreFairError, InvalidInputError, ParseError
 from .fairness import (
+    DEFAULT_ENUMERATION_LIMIT,
     Allocation,
     is_alpha_ef,
     is_alpha_efx,
@@ -237,14 +238,6 @@ def _run_verify(args: argparse.Namespace) -> int:
 # check-class
 # ---------------------------------------------------------------------------
 
-_CLASS_FLAG = {
-    "additive": lambda r: r.additive,
-    "cancelable": lambda r: r.cancelable,
-    "submodular": lambda r: r.submodular,
-    "general": lambda r: True,
-}
-
-
 def _run_check_class(args: argparse.Namespace) -> int:
     inst = _load_target(args)
     classify = check_class if inst.m <= CHECK_CLASS_MAX_M else sample_class
@@ -252,7 +245,7 @@ def _run_check_class(args: argparse.Namespace) -> int:
     bad = [
         i
         for i, r in enumerate(reports)
-        if not (r.binary_marginal and _CLASS_FLAG[inst.declared_class](r))
+        if not (r.binary_marginal and r.flags().get(inst.declared_class, True))
     ]
     payload = {
         "declared_class": inst.declared_class,
@@ -288,6 +281,8 @@ def _run_check_class(args: argparse.Namespace) -> int:
 
 
 def _run_enumerate(args: argparse.Namespace) -> int:
+    if args.dump is not None and args.report != "efx-exists":
+        raise InvalidInputError("--dump needs --report efx-exists")
     inst = _load_target(args)
     if args.report == "efx-exists":
         exists, witness = efx_exists_search(
@@ -476,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--limit",
         type=int,
-        default=10**7,
+        default=DEFAULT_ENUMERATION_LIMIT,
         help="refuse instances with more than this many allocations",
     )
     p.add_argument(

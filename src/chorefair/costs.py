@@ -68,6 +68,17 @@ def _check_mask(m: int, mask: ItemSet) -> None:
         )
 
 
+def _unit_costs(costs: Sequence[int]) -> ItemSet:
+    """The items of cost 1, after refusing a cost outside {0, 1}."""
+    ones = 0
+    for i, c in enumerate(costs):
+        if c not in (0, 1):
+            raise InvalidInputError(f"additive cost for item {i} must be 0 or 1, got {c}")
+        if c:
+            ones |= 1 << i
+    return ones
+
+
 @dataclass(frozen=True)
 class Additive:
     """Sum of per-item costs; entries restricted to {0, 1}."""
@@ -76,14 +87,8 @@ class Additive:
     _ones: ItemSet = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        ones = 0
-        for i, c in enumerate(self.costs):
-            if c not in (0, 1):
-                raise InvalidInputError(f"additive cost for item {i} must be 0 or 1, got {c}")
-            if c:
-                ones |= 1 << i
+        object.__setattr__(self, "_ones", _unit_costs(self.costs))
         object.__setattr__(self, "costs", tuple(self.costs))
-        object.__setattr__(self, "_ones", ones)
 
     @property
     def m(self) -> int:
@@ -107,14 +112,8 @@ class CappedAdditive:
     def __post_init__(self) -> None:
         if self.cap < 0:
             raise InvalidInputError(f"cap must be non-negative, got {self.cap}")
-        ones = 0
-        for i, c in enumerate(self.costs):
-            if c not in (0, 1):
-                raise InvalidInputError(f"additive cost for item {i} must be 0 or 1, got {c}")
-            if c:
-                ones |= 1 << i
+        object.__setattr__(self, "_ones", _unit_costs(self.costs))
         object.__setattr__(self, "costs", tuple(self.costs))
-        object.__setattr__(self, "_ones", ones)
 
     @property
     def m(self) -> int:
@@ -280,10 +279,12 @@ class Table:
     :func:`value_table` returns a read-only numpy view of it with no copy,
     and ``values`` reads it back as a tuple.  Tables are immutable; they
     compare, hash and pickle by ``m`` and ``values``.  An ``array("q")``
-    argument holds integers only, so it skips the type walk.
+    argument holds integers only, so it skips the type walk.  ``_proofs``
+    holds the class verdicts :func:`chorefair.instances.proves` reached on
+    the table, each with its witness.
     """
 
-    __slots__ = ("m", "binary_marginal", "_values", "_view", "_additive")
+    __slots__ = ("m", "binary_marginal", "_values", "_view", "_proofs")
 
     def __init__(self, m: int, values: Iterable[int]) -> None:
         if m < 0:
@@ -322,6 +323,7 @@ class Table:
         object.__setattr__(self, "binary_marginal", binary)
         object.__setattr__(self, "_values", buf)
         object.__setattr__(self, "_view", view)
+        object.__setattr__(self, "_proofs", {})
 
     @property
     def values(self) -> tuple[int, ...]:
@@ -463,29 +465,20 @@ def value_table(fn: CostFunction, max_m: int = CHECK_CLASS_MAX_M) -> np.ndarray:
             np.minimum(out, fn.cap, out=out)
         return out
     if isinstance(fn, Cardinality):
-        return np.minimum(_popcounts(m), fn.cap)
+        return np.minimum(_weighted_counts(m, [1] * m), fn.cap)
     if isinstance(fn, Threshold):
-        return np.maximum(_popcounts(m) - fn.k, 0)
+        return np.maximum(_weighted_counts(m, [1] * m) - fn.k, 0)
     if isinstance(fn, PartitionMatroidRank):
-        idx = np.arange(n_masks, dtype=np.int64)
-        pc = _popcounts(m)
         out = np.zeros(n_masks, dtype=np.int64)
         for gmask, cap in zip(fn._group_masks, fn.capacities):
-            out += np.minimum(pc[idx & gmask], cap)
+            counts = _weighted_counts(m, [gmask >> e & 1 for e in range(m)])
+            out += np.minimum(counts, cap, out=counts)
         return out
     # Generic fallback (residual views, user-defined evaluables).
     values = [fn.value(s) for s in range(n_masks)]
     if min(values) < -COST_MAX or max(values) > COST_MAX:
         raise _range_error(values)
     return np.array(values, dtype=np.int64)
-
-
-def _popcounts(m: int) -> np.ndarray:
-    pc = np.zeros(1 << m, dtype=np.int64)
-    for e in range(m):
-        step = 1 << e
-        pc.reshape(-1, 2 * step)[:, step:] += 1
-    return pc
 
 
 def _weighted_counts(m: int, weights: list[int]) -> np.ndarray:
@@ -532,17 +525,12 @@ class FunctionClassReport:
 
     @property
     def witness(self) -> Witness | None:
-        for name in _CLASS_ORDER:
-            if name in self.witnesses:
-                return self.witnesses[name]
-        return None
+        name = self.witness_class
+        return None if name is None else self.witnesses[name]
 
     @property
     def witness_class(self) -> str | None:
-        for name in _CLASS_ORDER:
-            if name in self.witnesses:
-                return name
-        return None
+        return next((name for name in _CLASS_ORDER if name in self.witnesses), None)
 
     def flags(self) -> dict[str, bool]:
         return {
@@ -674,22 +662,6 @@ def _check_additive(m: int, v: np.ndarray, witnesses: dict[str, Witness]) -> boo
             witnesses["additive"] = (s ^ bit, 0, e)
             return False
     raise InternalInvariantError("additive mismatch without a marginal witness")
-
-
-def _check_additive_once(fn: CostFunction, witnesses: dict[str, Witness]) -> bool:
-    """:func:`_check_additive` on ``fn``'s values.  A :class:`Table` keeps
-    the verdict and its witness, so that the class gate and the
-    certificate decide a table's additivity once between them."""
-    verdict = getattr(fn, "_additive", None)
-    if verdict is None:
-        found: dict[str, Witness] = {}
-        verdict = (_check_additive(fn.m, value_table(fn), found), found.get("additive"))
-        if isinstance(fn, Table):
-            object.__setattr__(fn, "_additive", verdict)
-    additive, witness = verdict
-    if not additive:
-        witnesses["additive"] = witness
-    return additive
 
 
 def _check_cancelable(m: int, v: np.ndarray, witnesses: dict[str, Witness]) -> bool:

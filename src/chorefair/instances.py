@@ -84,17 +84,51 @@ def declaration_bound(fn: Descriptor) -> str:
 def kind_guarantees(fn: Descriptor, cls: str) -> bool:
     """True when the descriptor alone proves membership in ``cls``.
 
-    Used by solver gates on ground sets too large to verify exhaustively:
-    a kind-level guarantee is trusted, anything else falls back to the
-    declaration plus runtime invariant checks.  Classes are nested, so a
-    kind guaranteeing a narrow class proves every broader one; "general"
-    here means monotone with binary marginals.  A cost function of no
-    known kind guarantees nothing.
+    Classes are nested, so a kind guaranteeing a narrow class proves every
+    broader one; "general" here means monotone with binary marginals.  A
+    table guarantees "general" by its binary-marginal flag; a cost
+    function of no known kind guarantees nothing.
     """
     if isinstance(fn, Table):
         return cls == "general" and fn.binary_marginal
     guaranteed = _KIND_CLASS.get(type(fn))
     return guaranteed is not None and CLASS_RANK[guaranteed] <= CLASS_RANK[cls]
+
+
+# The exhaustive test that proves a binary-marginal table narrower than
+# "general", on its value table and a witness dict.
+_KERNELS = {
+    "additive": costs._check_additive,
+    "cancelable": costs._check_cancelable,
+    "submodular": costs._check_submodular,
+}
+
+
+def proves(fn: Descriptor, cls: str, witnesses: dict | None = None) -> bool:
+    """True when ``fn`` provably belongs to ``cls``, binary marginals
+    included: the one place that decides class membership.
+
+    A closed-form kind answers by :func:`kind_guarantees`.  A cost function
+    of no known kind proves only "general", by its marginals.  A
+    binary-marginal :class:`Table` proves a narrower class by that class's
+    exhaustive kernel; the table keeps each verdict and its witness, so a
+    (table, class) pair is tested once however often it is asked.  On a
+    failed kernel test the falsifying triple goes into ``witnesses[cls]``.
+    """
+    if not isinstance(fn, Table):
+        if type(fn) in _KIND_CLASS:
+            return kind_guarantees(fn, cls)
+        return cls == "general" and costs.is_binary_marginal(fn)
+    if cls == "general" or not fn.binary_marginal:
+        return fn.binary_marginal
+    verdict = fn._proofs.get(cls)
+    if verdict is None:
+        found: dict = {}
+        verdict = fn._proofs[cls] = (_KERNELS[cls](fn.m, fn._view, found), found.get(cls))
+    proved, witness = verdict
+    if not proved and witnesses is not None:
+        witnesses[cls] = witness
+    return proved
 
 
 @dataclass(frozen=True)
@@ -483,6 +517,7 @@ __all__ = [
     "BUILTIN_NAMES",
     "declaration_bound",
     "kind_guarantees",
+    "proves",
     "descriptor_to_json",
     "descriptor_from_json",
     "instance_to_json",

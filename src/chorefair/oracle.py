@@ -31,8 +31,6 @@ from .instances import Instance, instance_to_json
 
 SECTIONS = ("efx", "frontier", "efx-po", "min-sc")
 
-_DEFAULT_CHUNK = 1 << 16
-
 
 @dataclass
 class EnumerationReport:
@@ -110,7 +108,6 @@ def _scan_range(
     inst: Instance,
     start: int,
     stop: int,
-    chunk: int,
     wants: set[str],
     frontier_vectors: set[tuple[int, ...]] | None,
 ) -> dict:
@@ -125,7 +122,7 @@ def _scan_range(
     if wants & {"efx", "efx-po"}:
         worst = [_worst_drops(table, inst.m) for table in tables]
     found: dict = {"efx": [], "frontier": [], "vectors": set(), "min-sc": None, "efx-po": False}
-    for first, masks in _rank_blocks(inst.n, inst.m, start, stop, chunk):
+    for first, masks in _rank_blocks(inst.n, inst.m, start, stop):
         efx = None if worst is None else _efx_flags(tables, worst, masks)
         if "efx" in wants:
             found["efx"].append(first + np.flatnonzero(efx))
@@ -172,19 +169,15 @@ def _run_ranges(
     inst: Instance,
     total: int,
     jobs: int,
-    chunk: int,
     wants: set[str],
     frontier_vectors: set[tuple[int, ...]] | None = None,
 ) -> list[dict]:
     ranges = _split_ranges(total, jobs)
     if len(ranges) <= 1:
-        return [
-            _scan_range(inst, lo, hi, chunk, wants, frontier_vectors) for lo, hi in ranges
-        ]
+        return [_scan_range(inst, lo, hi, wants, frontier_vectors) for lo, hi in ranges]
     with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
         futures = [
-            pool.submit(_scan_range, inst, lo, hi, chunk, wants, frontier_vectors)
-            for lo, hi in ranges
+            pool.submit(_scan_range, inst, lo, hi, wants, frontier_vectors) for lo, hi in ranges
         ]
         return [f.result() for f in futures]
 
@@ -203,7 +196,6 @@ def analyze(
     limit: int = DEFAULT_ENUMERATION_LIMIT,
     jobs: int = 1,
     sections: Iterable[str] = SECTIONS,
-    chunk: int = _DEFAULT_CHUNK,
 ) -> EnumerationReport:
     """Exhaustive report over all complete allocations.
 
@@ -213,14 +205,14 @@ def analyze(
     collects the distinct cost vectors only when "frontier" or "efx-po"
     is asked for; only those two run the second pass, against the
     non-dominated vectors.  EFX tests run only for "efx" and "efx-po".
-    Results are deterministic and independent of ``jobs`` and ``chunk``;
-    ``jobs`` is capped at the machine's CPU count.
+    Results are deterministic and independent of ``jobs``; ``jobs`` is
+    capped at the machine's CPU count.
     """
     wanted = set(sections)
     unknown = wanted.difference(SECTIONS)
     if unknown:
         raise InvalidInputError(f"unknown report sections: {sorted(unknown)}")
-    total = _scan_size(inst, limit, chunk)
+    total = _scan_size(inst, limit)
     if jobs < 1:
         raise InvalidInputError(f"jobs must be positive, got {jobs}")
     jobs = min(jobs, os.cpu_count() or 1)
@@ -230,14 +222,14 @@ def analyze(
     second = wanted & {"frontier", "efx-po"}
     first = wanted & {"efx", "min-sc"} | ({"vectors"} if second else set())
     if first:
-        parts = _run_ranges(inst, total, jobs, chunk, first)
+        parts = _run_ranges(inst, total, jobs, first)
         if "min-sc" in wanted:
             report.min_social_cost = min(part["min-sc"] for part in parts)
         if "efx" in wanted:
             report.efx_allocations = _allocations(n, m, parts, "efx")
     if second:
         vectors = set().union(*(part["vectors"] for part in parts))
-        parts = _run_ranges(inst, total, jobs, chunk, second, _nondominated(vectors))
+        parts = _run_ranges(inst, total, jobs, second, _nondominated(vectors))
         if "frontier" in wanted:
             report.pareto_frontier = _allocations(n, m, parts, "frontier")
         if "efx-po" in wanted:
@@ -248,7 +240,6 @@ def analyze(
 def efx_exists_search(
     inst: Instance,
     limit: int = DEFAULT_ENUMERATION_LIMIT,
-    chunk: int = _DEFAULT_CHUNK,
     dump_path: str | None = None,
 ) -> tuple[bool, Allocation | None]:
     """First removal-stable complete allocation, if any.
@@ -258,11 +249,11 @@ def efx_exists_search(
     submodular inputs a negative answer would settle an open existence
     question, so it must never vanish into a log.
     """
-    total = _scan_size(inst, limit, chunk)
+    total = _scan_size(inst, limit)
     tables = _cost_tables(inst)
     worst = [_worst_drops(table, inst.m) for table in tables]
     witness: Allocation | None = None
-    for first, masks in _rank_blocks(inst.n, inst.m, 0, total, chunk):
+    for first, masks in _rank_blocks(inst.n, inst.m, 0, total):
         ranks = first + np.flatnonzero(_efx_flags(tables, worst, masks))
         if len(ranks):
             witness = allocation_from_rank(inst.n, inst.m, int(ranks[0]))

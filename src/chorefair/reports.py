@@ -13,9 +13,8 @@ from enum import Enum
 from typing import Callable, NamedTuple
 
 from . import fairness, oracle
-from .costs import Additive, Table, _check_additive_once
 from .fairness import Allocation
-from .instances import Instance
+from .instances import Instance, proves
 from .itemset import size
 
 # Above this many complete allocations, Pareto optimality is not scanned
@@ -138,17 +137,8 @@ class SolveReport:
 
 
 def _binary_additive(inst: Instance) -> bool:
-    """Every agent is proved additive with item costs in {0, 1}: by its
-    kind, or as a binary-marginal table that passes the exhaustive test."""
-    return all(
-        isinstance(fn, Additive)
-        or (
-            isinstance(fn, Table)
-            and fn.binary_marginal
-            and _check_additive_once(fn, {})
-        )
-        for fn in inst.agents
-    )
+    """Every agent is proved additive with item costs in {0, 1}."""
+    return all(proves(fn, "additive") for fn in inst.agents)
 
 
 def certify(inst: Instance, report: SolveReport) -> Certificate:

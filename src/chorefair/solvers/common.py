@@ -5,20 +5,11 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from ..costs import (
-    CostFunction,
-    Table,
-    _check_additive_once,
-    _check_cancelable,
-    _check_mask,
-    _check_submodular,
-    is_binary_marginal,
-    value_table,
-)
+from ..costs import CostFunction, _check_mask
 from ..costs import _marginal as marginal
 from ..errors import InternalInvariantError, InvalidInputError, WrongClassError
 from ..fairness import Allocation
-from ..instances import CLASS_RANK, Instance, kind_guarantees
+from ..instances import CLASS_RANK, Instance, proves
 from ..itemset import ItemSet
 from ..reports import CHECKS, TAG_CHECKS, GuaranteeTag, SolveReport, certify
 
@@ -27,48 +18,34 @@ from ..reports import CHECKS, TAG_CHECKS, GuaranteeTag, SolveReport, certify
 VERIFY_MAX_M = 12
 
 
-# The exhaustive test of each class a solver can require, on the agent and
-# its witness dict; "general" (binary marginals) needs none beyond the
-# marginal test every agent gets.
-_CLASS_CHECKS = {
-    "additive": _check_additive_once,
-    "cancelable": lambda fn, witnesses: _check_cancelable(fn.m, value_table(fn), witnesses),
-    "submodular": lambda fn, witnesses: _check_submodular(fn.m, value_table(fn), witnesses),
-}
-
-
 def ensure_class(inst: Instance, required: str) -> None:
     """Gate an instance for a solver that assumes membership in ``required``.
 
     The declaration must not be broader than the solver handles.  Every
-    agent whose descriptor kind does not guarantee the class must have
-    binary marginals, at every ground-set size: the solvers' shortcuts rest
+    agent must then be proved "general" (binary marginals) by
+    :func:`proves`, at every ground-set size: the solvers' shortcuts rest
     on marginals of at most 1, and for a ``Table`` the test reads a flag
-    computed at construction.  On small ground sets the declaration is then
-    re-proved exhaustively per agent; on larger ones the rest ride on the
+    computed at construction.  On small ground sets every agent is then
+    proved to lie in ``required``; on larger ones an explicit table, the
+    only agent that can be declared narrower than it is, rides on the
     declaration (runtime invariant checks inside the solvers catch
     mis-declared inputs there).  The one exception is additivity, which no
-    runtime check can see but Pareto optimality rests on: explicit tables,
-    the only agents that can be declared narrower than they are, are proved
-    additive at every size they support.  A table keeps that verdict, which
-    :func:`certify` then reads.  Every test reads the table's own buffer.
+    runtime check can see but Pareto optimality rests on: tables are
+    proved additive at every size they support.  A table keeps each
+    verdict, which :func:`certify` then reads.
     """
     if CLASS_RANK[inst.declared_class] > CLASS_RANK[required]:
         raise WrongClassError(
             f"instance is declared {inst.declared_class!r}, solver requires "
             f"{required!r} or narrower"
         )
-    exhaustive = inst.m <= VERIFY_MAX_M
+    # "general" is proved by the first test alone
+    narrow = required != "general" and (inst.m <= VERIFY_MAX_M or required == "additive")
     for i, fn in enumerate(inst.agents):
-        if kind_guarantees(fn, required):
-            continue
-        if not is_binary_marginal(fn):
+        if not proves(fn, "general"):
             raise WrongClassError(f"agents[{i}] has marginals outside {{0, 1}}")
-        if not (exhaustive or (required == "additive" and isinstance(fn, Table))):
-            continue
-        check = _CLASS_CHECKS.get(required)
         witnesses: dict = {}
-        if check is not None and not check(fn, witnesses):
+        if narrow and not proves(fn, required, witnesses):
             raise WrongClassError(
                 f"agents[{i}] is declared {inst.declared_class!r} but is not "
                 f"{required} (witness: {witnesses.get(required)})"

@@ -294,6 +294,16 @@ class TestEnumerate:
         verdict = json.loads(dump.read_text())
         assert verdict["efx_exists"] is True
 
+    @pytest.mark.parametrize("report", [[], ["--report", "all"], ["--report", "efx-po"]])
+    def test_dump_without_exists_search_refused(self, capsys, tmp_path, report):
+        # the dump was once ignored: exit 0 and no file
+        dump = tmp_path / "verdict.json"
+        code, out, err = run(
+            capsys, "enumerate", "--builtin", "ternary-no-efxpo", *report, "--dump", str(dump)
+        )
+        assert (code, out, err) == (2, "", "error: --dump needs --report efx-exists\n")
+        assert not dump.exists()
+
     def test_limit_refusal(self, capsys):
         code, out, err = run(
             capsys, "enumerate", "--builtin", "cancelable-cap5-n2",

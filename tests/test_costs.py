@@ -243,6 +243,10 @@ def test_residual_matches_definition(base, mask):
         PartitionMatroidRank(groups=((0, 3), (1, 2, 5), (4,)), capacities=(1, 2, 1)),
         Threshold(k=2, m=6),
         Table(m=4, values=(0, 1, 1, 1, 1, 2, 2, 2, 0, 1, 1, 1, 1, 2, 2, 2)),
+        # a cap-0 group, one group over every item, every item alone
+        PartitionMatroidRank(groups=((0, 2), (1, 3, 4)), capacities=(0, 2)),
+        PartitionMatroidRank(groups=((3, 0, 5, 1, 4, 2),), capacities=(4,)),
+        PartitionMatroidRank(groups=((0,), (1,), (2,), (3,), (4,)), capacities=(1, 0, 1, 1, 0)),
     ],
 )
 def test_value_table_matches_pointwise_evaluation(fn):

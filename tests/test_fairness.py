@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -342,7 +343,7 @@ def _first_dominator(inst, alloc):
     return None
 
 
-def test_is_po_bruteforce_does_not_depend_on_the_chunk_size():
+def test_is_po_bruteforce_does_not_depend_on_the_chunk_size(monkeypatch):
     rng = random.Random(5)
     seen_po = seen_dominated = 0
     for n, m in [(2, 5), (3, 4), (3, 5), (4, 3)]:
@@ -358,8 +359,9 @@ def test_is_po_bruteforce_does_not_depend_on_the_chunk_size():
         for rank in ranks:
             alloc = allocation_from_rank(n, m, rank)
             expected = _first_dominator(inst, alloc)
-            for chunk in (1, 7, 1 << 14, 1 << 16):
-                assert is_po_bruteforce(inst, alloc, chunk=chunk) == (expected is None, expected)
+            for block in (1, 7, 1 << 14, 1 << 16):
+                monkeypatch.setattr(fairness, "_SCAN_BLOCK", block)
+                assert is_po_bruteforce(inst, alloc) == (expected is None, expected)
             seen_po += expected is None
             seen_dominated += expected is not None
     assert seen_po and seen_dominated
@@ -368,14 +370,15 @@ def test_is_po_bruteforce_does_not_depend_on_the_chunk_size():
 @given(
     st.integers(1, 4), st.integers(0, 6), st.integers(1, 100), st.floats(0, 1), st.floats(0, 1)
 )
-def test_rank_blocks_match_direct_masks_on_any_range(n, m, chunk, lo, hi):
+def test_rank_blocks_match_direct_masks_on_any_range(n, m, block, lo, hi):
     total = n**m
     start, stop = sorted((int(lo * total), int(hi * total)))
     direct = _assignment_masks(n, m, np.arange(start, stop, dtype=np.int64))
-    pieces = list(_rank_blocks(n, m, start, stop, chunk))
+    with mock.patch.object(fairness, "_SCAN_BLOCK", block):
+        pieces = list(_rank_blocks(n, m, start, stop))
     pos = start
     for first, masks in pieces:
-        assert first == pos and len(masks[0]) <= chunk
+        assert first == pos and len(masks[0]) <= block
         pos += len(masks[0])
     assert pos == stop
     for i in range(n):
@@ -395,8 +398,6 @@ def test_is_po_bruteforce_refuses_bad_settings_as_the_oracle_does():
         is_po_bruteforce(ternary(), alloc, limit=0)
     with pytest.raises(InvalidInputError, match="hard cap"):
         is_po_bruteforce(ternary(), alloc, limit=10**9)
-    with pytest.raises(InvalidInputError, match="chunk size must be positive"):
-        is_po_bruteforce(ternary(), alloc, chunk=0)
 
 
 def _no_tables(fn, max_m=None):

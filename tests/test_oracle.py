@@ -89,12 +89,18 @@ def test_matches_slow_enumeration():
         assert analyze(inst).to_json() == brute_report(inst).to_json()
 
 
-def test_jobs_and_chunking_do_not_change_report():
+def test_jobs_and_chunking_do_not_change_report(monkeypatch):
     inst = generate("threshold", 3, 5, seed=9)
     base = analyze(inst).to_json()
     assert analyze(inst, jobs=3).to_json() == base
-    assert analyze(inst, chunk=37).to_json() == base
-    assert analyze(inst, jobs=2, chunk=7).to_json() == base
+    monkeypatch.setattr(fairness, "_SCAN_BLOCK", 37)
+    assert analyze(inst).to_json() == base
+    # a forked worker would not see the smaller block; the inline pool does
+    monkeypatch.setattr(fairness, "_SCAN_BLOCK", 7)
+    monkeypatch.setattr(InlinePool, "workers", [])
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
+    assert analyze(inst, jobs=2).to_json() == base
 
 
 class InlinePool:
@@ -142,8 +148,6 @@ def test_sections_gate_the_fields():
     assert rep.pareto_frontier is None
     with pytest.raises(InvalidInputError, match="sections"):
         analyze(inst, sections=("efx", "po"))
-    with pytest.raises(InvalidInputError, match="chunk"):
-        analyze(inst, chunk=0)
 
 
 def test_size_limits():
@@ -158,23 +162,14 @@ def test_size_limits():
         efx_exists_search(builtin("ternary-no-efxpo"), limit=4)
 
 
-def test_exists_search_returns_first_witness():
+def test_exists_search_returns_first_witness(monkeypatch):
     exists, witness = efx_exists_search(builtin("cancelable-cap5-n2"))
     assert exists
     assert witness.bundles == (0b0000011111, 0b1111100000)
-    exists, witness = efx_exists_search(builtin("ternary-no-efxpo"), chunk=2)
+    monkeypatch.setattr(fairness, "_SCAN_BLOCK", 2)
+    exists, witness = efx_exists_search(builtin("ternary-no-efxpo"))
     assert exists
     assert witness.bundles == (0b001, 0b110)
-
-
-@pytest.mark.parametrize("chunk", [0, -3])
-def test_exists_search_refuses_non_positive_chunks(tmp_path, chunk):
-    # a negative chunk once scanned nothing and reported (and dumped) that
-    # no EFX allocation exists
-    path = tmp_path / "verdict.json"
-    with pytest.raises(InvalidInputError, match="chunk size must be positive"):
-        efx_exists_search(builtin("ternary-no-efxpo"), chunk=chunk, dump_path=str(path))
-    assert not path.exists()
 
 
 def test_exists_search_dumps_verdict(tmp_path):
@@ -220,8 +215,9 @@ def test_every_section_subset_matches_the_full_report(monkeypatch):
         full = analyze(inst).to_json()
         for r in range(len(SECTIONS) + 1):
             for sections in itertools.combinations(SECTIONS, r):
-                for chunk, jobs in itertools.product((1, 5, 37, 1 << 16), (1, 2)):
-                    doc = analyze(inst, sections=sections, chunk=chunk, jobs=jobs).to_json()
+                for block, jobs in itertools.product((1, 5, 37, 1 << 16), (1, 2)):
+                    monkeypatch.setattr(fairness, "_SCAN_BLOCK", block)
+                    doc = analyze(inst, sections=sections, jobs=jobs).to_json()
                     assert doc == {
                         key: value
                         if key == "total_allocations"
@@ -231,14 +227,15 @@ def test_every_section_subset_matches_the_full_report(monkeypatch):
                     }
 
 
-def test_exists_witness_is_the_first_efx_allocation():
+def test_exists_witness_is_the_first_efx_allocation(monkeypatch):
     rng = random.Random(3)
     for k in range(24):
         family = ("binary_additive", "capped_additive", "cardinality", "threshold", "table")[k % 5]
         inst = generate(family, rng.randint(1, 4), rng.randint(1, 6), seed=k)
         efx = analyze(inst, sections=("efx",)).efx_allocations
-        for chunk in (1, 7, 1 << 16):
-            exists, witness = efx_exists_search(inst, chunk=chunk)
+        for block in (1, 7, 1 << 16):
+            monkeypatch.setattr(fairness, "_SCAN_BLOCK", block)
+            exists, witness = efx_exists_search(inst)
             assert exists == bool(efx)
             assert witness == (efx[0] if efx else None)
 

@@ -9,18 +9,20 @@ index.
 
 import json
 import pickle
+from collections import Counter
 from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 
 from chorefair import analyze, solve_auto
-from chorefair import costs as costs_module
+from chorefair import instances as instances_module
 from chorefair.costs import COST_MAX, Cardinality, Table, evaluate, marginal, value_table
-from chorefair.errors import InvalidInputError, ParseError
+from chorefair.errors import InvalidInputError, ParseError, WrongClassError
 from chorefair.instances import (
     GENERATOR_FAMILIES,
     Instance,
+    builtin,
     descriptor_from_json,
     generate,
     instance_to_json,
@@ -28,6 +30,7 @@ from chorefair.instances import (
     serialize_instance,
 )
 from chorefair.reports import certify
+from chorefair.solvers import ensure_class
 
 
 def _doc(m, values):
@@ -188,15 +191,44 @@ def test_serialized_text_matches_json_dumps():
                 assert serialize_instance(one) == expected + "\n"
 
 
-def test_additivity_is_decided_once_per_table(monkeypatch):
-    calls = []
-    check = costs_module._check_additive
-    monkeypatch.setattr(
-        costs_module, "_check_additive", lambda *a: calls.append(1) or check(*a)
-    )
+def test_each_class_is_decided_once_per_table(monkeypatch):
     unit = Table(m=3, values=tuple(s.bit_count() for s in range(8)))
-    inst = Instance(n=2, m=3, agents=(unit, unit), declared_class="additive")
-    report = solve_auto(inst, verify=True)
-    assert report.verification.passed
-    assert certify(inst, report).passed
-    assert calls == [1]
+    capped = Table(m=4, values=tuple(min(s.bit_count(), 2) for s in range(16)))
+    submodular = builtin("appendixA-submodular-4").agents[0]
+    names = {id(unit._view): "unit", id(capped._view): "capped", id(submodular._view): "sub"}
+    calls = Counter()
+    for cls, kernel in instances_module._KERNELS.items():
+
+        def counted(m, v, witnesses, cls=cls, kernel=kernel):
+            calls[names[id(v)], cls] += 1
+            return kernel(m, v, witnesses)
+
+        monkeypatch.setitem(instances_module._KERNELS, cls, counted)
+    cases = [
+        (Instance(n=2, m=3, agents=(unit, unit), declared_class="additive"), "additive"),
+        (Instance(n=2, m=4, agents=(capped, capped), declared_class="cancelable"), "cancelable"),
+        (Instance(n=1, m=4, agents=(submodular,), declared_class="submodular"), "submodular"),
+    ]
+    for inst, required in cases:
+        report = solve_auto(inst, verify=True)
+        assert report.verification.passed
+        ensure_class(inst, required)
+        assert certify(inst, report).passed
+    # a refusal keeps its witness: the second gate run words it alike
+    lying = Instance(n=2, m=4, agents=(capped, capped), declared_class="additive")
+    refusals = set()
+    for _ in range(2):
+        with pytest.raises(WrongClassError) as exc:
+            ensure_class(lying, "additive")
+        refusals.add(str(exc.value))
+    assert refusals == {
+        "agents[0] is declared 'additive' but is not additive (witness: (6, 0, 0))"
+    }
+    # certify asks for additivity where the tag wants PO (efx+po, efx);
+    # the 2-ef tag of the one-agent submodular instance does not
+    assert calls == {
+        ("unit", "additive"): 1,
+        ("capped", "cancelable"): 1,
+        ("capped", "additive"): 1,
+        ("sub", "submodular"): 1,
+    }
