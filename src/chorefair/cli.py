@@ -23,8 +23,7 @@ from .errors import ChoreFairError, InvalidInputError, ParseError
 from .fairness import (
     DEFAULT_ENUMERATION_LIMIT,
     Allocation,
-    is_alpha_ef,
-    is_alpha_efx,
+    CostMatrix,
     is_po_bruteforce,
     social_cost,
 )
@@ -150,24 +149,27 @@ def _run_solve(args: argparse.Namespace) -> int:
 _PLAIN_CRITERIA = ("ef", "efx", "po", "social-cost")
 
 
-def _parse_criteria(text: str) -> list[tuple[str, Fraction | None]]:
-    out: list[tuple[str, Fraction | None]] = []
+def _parse_criteria(text: str) -> list[tuple[str, str, Fraction]]:
+    """(key, name, alpha) per criterion; plain ``ef`` and ``efx`` read alpha 1."""
+    out: list[tuple[str, str, Fraction]] = []
     for raw in text.split(","):
         raw = raw.strip()
         if not raw:
             continue
         if raw in _PLAIN_CRITERIA:
-            out.append((raw, None))
+            out.append((raw, raw, Fraction(1)))
             continue
         kind, sep, tail = raw.partition(":")
         if sep and kind in ("alpha-ef", "alpha-efx"):
+            # an alpha below 1, or too long to render as the key, is refused
+            # with the criterion named
             try:
                 alpha = Fraction(tail)
+                if alpha < 1:
+                    raise InvalidInputError("alpha must be >= 1")
+                out.append((f"{kind}:{alpha}", kind, alpha))
             except (ValueError, ZeroDivisionError) as exc:
                 raise InvalidInputError(f"criterion {raw!r}: {exc}") from exc
-            if alpha < 1:
-                raise InvalidInputError(f"criterion {raw!r}: alpha must be >= 1")
-            out.append((kind, alpha))
             continue
         raise InvalidInputError(
             f"unknown criterion {raw!r}; choose from ef, efx, po, social-cost, "
@@ -192,21 +194,21 @@ def _run_verify(args: argparse.Namespace) -> int:
     alloc = _load_allocation(args.allocation, inst)
     results: dict[str, dict] = {}
     ok_all = True
-    for name, alpha in _parse_criteria(args.criteria):
-        if name in ("ef", "alpha-ef"):
-            ok, viols = is_alpha_ef(inst, alloc, alpha if alpha is not None else 1)
-            entry = {"pass": ok, "violations": [v.to_json() for v in viols]}
-        elif name in ("efx", "alpha-efx"):
-            ok, viols = is_alpha_efx(inst, alloc, alpha if alpha is not None else 1)
-            entry = {"pass": ok, "violations": [v.to_json() for v in viols]}
-        elif name == "po":
+    matrix = None  # every envy criterion is read off one price matrix
+    for key, name, alpha in _parse_criteria(args.criteria):
+        if name == "po":
             ok, dominator = is_po_bruteforce(inst, alloc)
             entry = {"pass": ok}
             if dominator is not None:
                 entry["dominated_by"] = dominator.to_json()
-        else:  # social-cost is informational, never a failure
+        elif name == "social-cost":  # informational, never a failure
             entry = {"pass": True, "value": social_cost(inst, alloc)}
-        key = name if alpha is None else f"{name}:{alpha}"
+        else:
+            if matrix is None:
+                matrix = CostMatrix(inst.agents, alloc.bundles)
+            check = matrix.efx_violations if name.endswith("efx") else matrix.ef_violations
+            viols = check(alpha)
+            entry = {"pass": not viols, "violations": [v.to_json() for v in viols]}
         results[key] = entry
         ok_all = ok_all and entry["pass"]
 

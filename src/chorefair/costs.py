@@ -448,9 +448,10 @@ def value_table(fn: CostFunction, max_m: int = CHECK_CLASS_MAX_M) -> np.ndarray:
 
     A :class:`Table` returns a read-only view of its own int64 buffer, with
     no copy.  Closed-form kinds are filled with vectorised recurrences
-    instead of 2^m Python calls.  Any other function is evaluated mask by
-    mask, and refused as :class:`Table` refuses it when a value lies past
-    ±:data:`COST_MAX`.
+    instead of 2^m Python calls; each cap or threshold is clamped at the
+    most items it can count, which keeps it inside int64 and the table the
+    same.  Any other function is evaluated mask by mask, and refused as
+    :class:`Table` refuses it when a value lies past ±:data:`COST_MAX`.
     """
     m = fn.m
     if m > max_m:
@@ -462,17 +463,17 @@ def value_table(fn: CostFunction, max_m: int = CHECK_CLASS_MAX_M) -> np.ndarray:
     if isinstance(fn, (Additive, CappedAdditive)):
         out = _weighted_counts(m, [1 if c else 0 for c in fn.costs])
         if isinstance(fn, CappedAdditive):
-            np.minimum(out, fn.cap, out=out)
+            np.minimum(out, min(fn.cap, m), out=out)
         return out
     if isinstance(fn, Cardinality):
-        return np.minimum(_weighted_counts(m, [1] * m), fn.cap)
+        return np.minimum(_weighted_counts(m, [1] * m), min(fn.cap, m))
     if isinstance(fn, Threshold):
-        return np.maximum(_weighted_counts(m, [1] * m) - fn.k, 0)
+        return np.maximum(_weighted_counts(m, [1] * m) - min(fn.k, m), 0)
     if isinstance(fn, PartitionMatroidRank):
         out = np.zeros(n_masks, dtype=np.int64)
         for gmask, cap in zip(fn._group_masks, fn.capacities):
             counts = _weighted_counts(m, [gmask >> e & 1 for e in range(m)])
-            out += np.minimum(counts, cap, out=counts)
+            out += np.minimum(counts, min(cap, gmask.bit_count()), out=counts)
         return out
     # Generic fallback (residual views, user-defined evaluables).
     values = [fn.value(s) for s in range(n_masks)]

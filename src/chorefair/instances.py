@@ -362,6 +362,8 @@ def generate(
         raise InvalidInputError(f"unknown family {family!r}; choose from {GENERATOR_FAMILIES}")
     if n < 1 or m < 0:
         raise InvalidInputError(f"need n >= 1 and m >= 0, got n={n}, m={m}")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be non-negative, got {seed}")
     streams = [np.random.Generator(np.random.PCG64(s)) for s in np.random.SeedSequence(seed).spawn(n)]
 
     agents: list[Descriptor] = []

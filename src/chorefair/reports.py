@@ -1,16 +1,16 @@
 """Solver output: guarantee tags, the properties each promises, the report.
 
-One table, :data:`TAG_CHECKS`, says which properties a tag promises.  The
-solvers re-prove those properties on the original cost functions before
-they return, and :func:`certify` re-proves them for anyone holding an
-instance and a report, the CLI's ``solve --verify`` included.
+One table, :data:`TAG_CHECKS`, says which properties a tag promises, and
+one pass over one price matrix re-proves them.  The solvers run it on the
+original cost functions before they return, and :func:`certify` runs it,
+Pareto optimality included, for anyone holding an instance and a report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from . import fairness, oracle
 from .fairness import Allocation
@@ -76,20 +76,6 @@ def _minimal_social_cost(inst: Instance, alloc: Allocation) -> bool:
     return False
 
 
-# Checkers are looked up on the fairness module at call time, so that a
-# wrapper put on them (or on its ``evaluate``) sees every query.
-CHECKS: dict[str, Callable[[Instance, Allocation], bool]] = {
-    "complete": lambda inst, alloc: alloc.complete,
-    "ef": lambda inst, alloc: fairness.is_alpha_ef(inst, alloc, 1)[0],
-    "efx": lambda inst, alloc: fairness.is_alpha_efx(inst, alloc, 1)[0],
-    "2-ef": lambda inst, alloc: fairness.is_alpha_ef(inst, alloc, 2)[0],
-    "2-efx": lambda inst, alloc: fairness.is_alpha_efx(inst, alloc, 2)[0],
-    "minimal-social-cost": _minimal_social_cost,
-    "leftover-at-most-n-minus-1": lambda inst, alloc: size(alloc.unallocated) <= inst.n - 1,
-    "po": lambda inst, alloc: alloc.complete and fairness.is_po_bruteforce(inst, alloc)[0],
-}
-
-
 @dataclass(frozen=True)
 class Certificate:
     """Outcome of re-proving a tag: each promised property, in table order."""
@@ -141,43 +127,58 @@ def _binary_additive(inst: Instance) -> bool:
     return all(proves(fn, "additive") for fn in inst.agents)
 
 
-def certify(inst: Instance, report: SolveReport) -> Certificate:
-    """Re-prove every property the report's tag promises, from the instance
-    and the allocation alone.
-
-    Never raises on a failed property; the certificate records it.  The
-    social cost and its least value are priced once.  Pareto optimality
-    is decided exactly from the additive floor when every agent is proved
-    binary additive, at every size: an allocation at the floor has the
-    least social cost, which any Pareto improvement would lower, and one
-    above it gives some item to an agent paying 1 for it while another
-    pays 0.  Otherwise it is scanned by brute force when n^m <=
-    PO_SCAN_LIMIT, and above that it is unproved: ``po`` fails, and no
-    "not PO" note is added.
+def _prove(inst: Instance, alloc: Allocation, tag: GuaranteeTag, po_asked: bool) -> Certificate:
+    """Re-prove every property ``tag`` promises for ``alloc``, in one pass:
+    the envy properties off one uncounted :class:`CostMatrix`, the social
+    cost and its least value priced once, and Pareto optimality, with the
+    "not PO" note, only when ``po_asked`` (else ``po`` is left out).  Never
+    raises on a failed property; the certificate records it.
     """
-    alloc = report.allocation
-    promise = TAG_CHECKS[report.guarantee]
-    wants_po = "po" in promise.checks or promise.po_note
+    fairness._check_consistent(inst, alloc)
+    matrix = fairness.CostMatrix(inst.agents, alloc.bundles)
+    promise = TAG_CHECKS[tag]
+    wants_po = po_asked and ("po" in promise.checks or promise.po_note)
     by_floor = wants_po and _binary_additive(inst)
     minimal = None
     if by_floor or "minimal-social-cost" in promise.checks:
-        minimal = CHECKS["minimal-social-cost"](inst, alloc)
+        minimal = _minimal_social_cost(inst, alloc)
     po: bool | None = None
     if by_floor:
         po = alloc.complete and minimal
     elif wants_po and inst.n**inst.m <= PO_SCAN_LIMIT:
-        po = CHECKS["po"](inst, alloc)
-    known = {"minimal-social-cost": minimal, "po": bool(po)}
-    checks = {
-        name: known[name] if name in known else CHECKS[name](inst, alloc)
-        for name in promise.checks
+        # looked up at call time, so that a wrapper put on it sees the scan
+        po = alloc.complete and fairness.is_po_bruteforce(inst, alloc)[0]
+    proofs = {
+        "complete": lambda: alloc.complete,
+        "ef": lambda: not matrix.ef_violations(1),
+        "efx": matrix.is_efx,
+        "2-ef": lambda: not matrix.ef_violations(2),
+        "2-efx": lambda: not matrix.efx_violations(2),
+        "minimal-social-cost": lambda: minimal,
+        "leftover-at-most-n-minus-1": lambda: size(alloc.unallocated) <= inst.n - 1,
+        "po": lambda: bool(po),
     }
+    checks = {name: proofs[name]() for name in promise.checks if po_asked or name != "po"}
     notes = ("not PO",) if promise.po_note and po is False else ()
-    return Certificate(tag=report.guarantee, checks=checks, notes=notes)
+    return Certificate(tag=tag, checks=checks, notes=notes)
+
+
+def certify(inst: Instance, report: SolveReport) -> Certificate:
+    """Re-prove every property the report's tag promises, from the instance
+    and the allocation alone.
+
+    Pareto optimality is decided exactly from the additive floor when every
+    agent is proved binary additive, at every size: an allocation at the
+    floor has the least social cost, which any Pareto improvement would
+    lower, and one above it gives some item to an agent paying 1 for it
+    while another pays 0.  Otherwise it is scanned by brute force when n^m
+    <= PO_SCAN_LIMIT, and above that it is unproved: ``po`` fails, and no
+    "not PO" note is added.
+    """
+    return _prove(inst, report.allocation, report.guarantee, po_asked=True)
 
 
 __all__ = [
-    "CHECKS",
     "Certificate",
     "GuaranteeTag",
     "PO_SCAN_LIMIT",

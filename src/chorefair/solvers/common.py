@@ -11,7 +11,7 @@ from ..errors import InternalInvariantError, InvalidInputError, WrongClassError
 from ..fairness import Allocation
 from ..instances import CLASS_RANK, Instance, proves
 from ..itemset import ItemSet
-from ..reports import CHECKS, TAG_CHECKS, GuaranteeTag, SolveReport, certify
+from ..reports import GuaranteeTag, SolveReport, _prove
 
 # Ground sets at most this large get their declared class verified
 # exhaustively before a solver trusts it.
@@ -65,31 +65,30 @@ def finish(
 ) -> SolveReport:
     """The tail every solver shares: allocation, self-check, report.
 
-    Items in no bundle are the unallocated pool.  Every property the tag
-    promises except Pareto optimality (a brute-force scan) is re-proved on
-    the original cost functions, and the first that fails aborts the run.
-    With ``verify`` the report also carries :func:`certify`'s certificate.
-    Both use the uncounted checkers, so ``evals`` counts the solve alone.
+    Items in no bundle are the unallocated pool.  One uncounted pass
+    re-proves every property the tag promises on the original cost
+    functions, so ``evals`` counts the solve alone, and the first that
+    fails, Pareto optimality aside, aborts the run.  Only with ``verify``
+    is Pareto optimality decided and the pass's certificate attached.
     """
     alloc = Allocation.make(inst.n, inst.m, bundles)
-    for name in TAG_CHECKS[guarantee].checks:
-        if name != "po" and not CHECKS[name](inst, alloc):
-            raise InternalInvariantError(
-                f"{algorithm} output fails the {name!r} check of its "
-                f"{guarantee.value!r} tag"
-            )
+    cert = _prove(inst, alloc, guarantee, po_asked=verify)
+    failed = [name for name in cert.failures if name != "po"]
+    if failed:
+        raise InternalInvariantError(
+            f"{algorithm} output fails the {failed[0]!r} check of its "
+            f"{guarantee.value!r} tag"
+        )
     counters["evals"] = ops.evals
-    report = SolveReport(
+    return SolveReport(
         algorithm=algorithm,
         allocation=alloc,
         guarantee=guarantee,
         counters=counters,
         trace=tr.events,
+        verification=cert if verify else None,
         notes=notes,
     )
-    if verify:
-        report.verification = certify(inst, report)
-    return report
 
 
 class Trace:

@@ -268,3 +268,40 @@ def test_library_and_cli_certify_alike(tmp_path, capsys):
         assert code == (0 if cert.passed else 1)
         tags.add(report.guarantee)
     assert tags == set(GuaranteeTag)
+
+
+def test_epilogue_prices_each_allocation_once(tmp_path, capsys, monkeypatch):
+    # the solvers' own matrices answer through their counter; the epilogue
+    # builds the one uncounted matrix, and scans PO only under verify
+    matrices, scans = [], []
+    init = fairness.CostMatrix.__init__
+
+    def counting_init(self, funcs, bundles, ops=None):
+        if ops is None:
+            matrices.append(1)
+        init(self, funcs, bundles, ops)
+
+    scan = fairness.is_po_bruteforce
+    monkeypatch.setattr(fairness.CostMatrix, "__init__", counting_init)
+    monkeypatch.setattr(fairness, "is_po_bruteforce", lambda *a: scans.append(1) or scan(*a))
+    tags = set()
+    for k, inst in enumerate(_seeded_instances()):
+        scanned = len(scans)
+        try:
+            tag = solve_auto(inst).guarantee
+        except ChoreFairError:
+            continue
+        tags.add(tag)
+        assert len(matrices) == 1 and len(scans) == scanned
+        del matrices[:]
+        solve_auto(inst, verify=True)
+        assert len(matrices) == 1, tag
+        del matrices[:]
+        path = tmp_path / f"{k}.json"
+        path.write_text(serialize_instance(inst))
+        main(["solve", "--input", str(path), "--verify", "--json"])
+        capsys.readouterr()
+        assert len(matrices) == 1, tag
+        del matrices[:]
+    assert tags == set(GuaranteeTag)
+    assert scans  # the patch sees the certificates' scans

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chorefair import cli
+from chorefair import cli, fairness
 from chorefair.cli import main
 from chorefair.costs import COST_MAX, Additive, Cardinality, Table
 from chorefair.instances import Instance, builtin, load_instance, serialize_instance
@@ -184,6 +184,26 @@ class TestVerify:
         assert code == 0
         assert payload["criteria"]["alpha-ef:2"]["pass"] is True
         assert payload["criteria"]["alpha-efx:1"]["pass"] is True
+
+    def test_envy_criteria_read_one_price_matrix(self, capsys, tmp_path, monkeypatch):
+        builds = []
+        init = fairness.CostMatrix.__init__
+        monkeypatch.setattr(
+            fairness.CostMatrix, "__init__", lambda self, *a: builds.append(1) or init(self, *a)
+        )
+        inst = write_instance(tmp_path, builtin("ternary-no-efxpo"))
+        alloc = write_allocation(tmp_path, [[0, 2], [1]])
+        argv = ["verify", "--input", inst, "--allocation", alloc, "--criteria"]
+        code, out, err = run(capsys, *argv, "ef,efx,alpha-ef:3/2,alpha-efx:2,social-cost")
+        assert code == 1 and builds == [1]
+        assert out.splitlines()[:4] == [
+            "ef: FAIL (agent 0 against agent 1)",
+            "efx: FAIL (agent 0 against agent 1 dropping item 2)",
+            "alpha-ef:3/2: FAIL (agent 0 against agent 1)",
+            "alpha-efx:2: pass",
+        ]
+        code, out, err = run(capsys, *argv, "po,social-cost")
+        assert code == 0 and builds == [1]
 
     def test_unknown_criterion(self, capsys, tmp_path):
         inst = write_instance(tmp_path, builtin("ternary-no-efxpo"))
@@ -467,6 +487,49 @@ class TestPlumbing:
         assert code == 2 and out == ""
         message = f"agents[0]: table value at mask 1 lies outside ±{COST_MAX}: {value}"
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "declared, agent",
+        [
+            ("cancelable", {"type": "cardinality", "cap": 2**63}),
+            ("cancelable", {"type": "capped_additive", "costs": [1, 1, 0, 1], "cap": 2**63}),
+            ("general", {"type": "threshold", "k": 2**63}),
+            (
+                "submodular",
+                {"type": "partition_matroid", "groups": [[0, 1], [2, 3]], "capacities": [2**63, 1]},
+            ),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "argv", [["check-class"], ["enumerate", "--report", "min-sc"], ["solve", "--verify"]]
+    )
+    def test_parameters_past_int64_build_their_tables(
+        self, capsys, tmp_path, declared, agent, argv
+    ):
+        # at m = 4 every cap or threshold past 4 acts as 4; the cancelable
+        # kinds' certificate scans PO on tables
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(
+            {"n": 2, "m": 4, "declared_class": declared, "agents": [agent, agent]}
+        ))
+        code, out, err = run(capsys, *argv, "--input", str(path))
+        assert code == 0 and err == ""
+
+    def test_negative_seed_exits_2_in_one_line(self, capsys):
+        code, out, err = run(capsys, "generate", "--family", "cardinality", "-n", "2",
+                             "-m", "3", "--seed", "-1")
+        assert code == 2 and out == ""
+        assert err == "error: seed must be non-negative, got -1\n"
+
+    @pytest.mark.parametrize("criterion", ["alpha-ef:1e5000", "alpha-efx:2e5000"])
+    def test_alpha_too_long_to_print_exits_2_in_one_line(self, capsys, tmp_path, criterion):
+        path = write_instance(tmp_path, builtin("ternary-no-efxpo"))
+        alloc = write_allocation(tmp_path, [[0, 2], [1]])
+        code, out, err = run(capsys, "verify", "--input", path, "--allocation", alloc,
+                             "--criteria", f"ef,{criterion}")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: criterion {criterion!r}: Exceeds the limit")
 
     def test_no_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -247,6 +247,11 @@ def test_residual_matches_definition(base, mask):
         PartitionMatroidRank(groups=((0, 2), (1, 3, 4)), capacities=(0, 2)),
         PartitionMatroidRank(groups=((3, 0, 5, 1, 4, 2),), capacities=(4,)),
         PartitionMatroidRank(groups=((0,), (1,), (2,), (3,), (4,)), capacities=(1, 0, 1, 1, 0)),
+        # parameters past int64, clamped at the most items each can count
+        CappedAdditive(costs=(1, 0, 1, 1), cap=2**70),
+        Cardinality(cap=2**70, m=4),
+        Threshold(k=2**70, m=4),
+        PartitionMatroidRank(groups=((0, 1), (2, 3)), capacities=(2**70, 1)),
     ],
 )
 def test_value_table_matches_pointwise_evaluation(fn):

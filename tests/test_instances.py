@@ -209,6 +209,8 @@ def test_generate_rejects_bad_arguments():
         generate("binary_additive", 0, 3, seed=0)
     with pytest.raises(InvalidInputError):
         generate("table", 2, 13, seed=0)
+    with pytest.raises(InvalidInputError, match="seed must be non-negative, got -1"):
+        generate("cardinality", 2, 3, seed=-1)
 
 
 def test_builtin_catalog():
