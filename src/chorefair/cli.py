@@ -24,6 +24,7 @@ from .fairness import (
     DEFAULT_ENUMERATION_LIMIT,
     Allocation,
     CostMatrix,
+    _as_alpha,
     is_po_bruteforce,
     social_cost,
 )
@@ -161,14 +162,12 @@ def _parse_criteria(text: str) -> list[tuple[str, str, Fraction]]:
             continue
         kind, sep, tail = raw.partition(":")
         if sep and kind in ("alpha-ef", "alpha-efx"):
-            # an alpha below 1, or too long to render as the key, is refused
-            # with the criterion named
+            # an alpha the library refuses, or one too long to render as the
+            # key, is refused with the criterion named
             try:
-                alpha = Fraction(tail)
-                if alpha < 1:
-                    raise InvalidInputError("alpha must be >= 1")
+                alpha = _as_alpha(tail)
                 out.append((f"{kind}:{alpha}", kind, alpha))
-            except (ValueError, ZeroDivisionError) as exc:
+            except ValueError as exc:
                 raise InvalidInputError(f"criterion {raw!r}: {exc}") from exc
             continue
         raise InvalidInputError(

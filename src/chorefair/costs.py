@@ -31,6 +31,7 @@ from __future__ import annotations
 import struct
 from array import array
 from dataclasses import FrozenInstanceError, dataclass, field
+from functools import partial
 from typing import Iterable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -369,16 +370,17 @@ class ResidualView:
 
     ``d(S) = c(S ∪ A) - c(A)`` for S disjoint from A.  Queries that overlap
     the base are rejected; the view inherits monotonicity and binary
-    marginals from the underlying function.
+    marginals from the underlying function, whose marginal it binds once.
     """
 
-    __slots__ = ("fn", "base", "_base_value")
+    __slots__ = ("fn", "base", "_base_value", "_step")
 
     def __init__(self, fn: CostFunction, base: ItemSet):
         _check_mask(fn.m, base)
         self.fn = fn
         self.base = base
         self._base_value = fn.value(base)
+        self._step = getattr(fn, "marginal", None) or partial(_marginal, fn)
 
     @property
     def m(self) -> int:
@@ -398,7 +400,7 @@ class ResidualView:
             raise InvalidInputError(
                 f"residual query {bin(grown)} overlaps the base bundle {bin(self.base)}"
             )
-        return _marginal(self.fn, item, mask | self.base)
+        return self._step(item, mask | self.base)
 
     def __repr__(self) -> str:
         return f"ResidualView({self.fn!r}, base={bin(self.base)})"

@@ -33,6 +33,9 @@ from .itemset import ItemSet, full_set, iter_items
 # allocations no matter what limit the caller asks for.
 ENUMERATION_HARD_CAP = 10**8
 DEFAULT_ENUMERATION_LIMIT = 10**7
+# An alpha text longer than this, or with a larger exponent, is refused
+# before Fraction() expands it: "1e<k>" computes 10^k in full.
+ALPHA_TEXT_MAX = 10_000
 
 
 @dataclass(frozen=True)
@@ -124,12 +127,20 @@ class Violation(NamedTuple):
 def _as_alpha(alpha: Fraction | int | str) -> Fraction:
     if isinstance(alpha, float):
         raise InvalidInputError("alpha must be an exact rational (int, 'p/q' or Fraction)")
+    if isinstance(alpha, str):
+        exponent = alpha.lower().partition("e")[2]
+        try:
+            large = len(alpha) > ALPHA_TEXT_MAX or abs(int(exponent or 0)) > ALPHA_TEXT_MAX
+        except ValueError:  # a malformed exponent, which Fraction() names below
+            large = False
+        if large:
+            raise InvalidInputError(f"alpha text longer than, or exponent past, {ALPHA_TEXT_MAX}")
     try:
         frac = Fraction(alpha)
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidInputError(f"cannot parse alpha {alpha!r}: {exc}") from exc
     if frac < 1:
-        raise InvalidInputError(f"alpha must be >= 1, got {frac}")
+        raise InvalidInputError(f"alpha must be >= 1, got {alpha}")
     return frac
 
 
@@ -194,11 +205,17 @@ class CostMatrix:
     wrapper installed on them afterwards still sees every query.
 
     ``update`` re-prices the one bundle that changed.  When bundle j grew
-    by one item e, row k is re-priced as c_k(X_j) + marginal_k(e, X_j),
-    and a step the caller already knows is passed in and not asked again;
-    any other change re-prices the bundle whole.  Either way a solver that
-    moves a few items per step pays at most n queries per changed bundle
-    instead of a full rebuild.
+    by one item e, row k is re-priced as c_k(X_j) + marginal_k(e, X_j);
+    any other change re-prices the bundle whole, and a price increase the
+    caller already knows is passed in and not asked again.  Either way a
+    solver that moves a few items per step pays at most n queries per
+    changed bundle instead of a full rebuild.
+
+    ``changed`` marks the agents whose removal-stability inputs moved
+    since a caller cleared it: all at first, then each updated bundle's
+    owner and every agent whose price for it fell.  For any other agent
+    nothing moved but dearer rivals, so if the matrix was removal-stable
+    when ``changed`` was cleared, ``is_efx(changed)`` is the full verdict.
 
     Every cost function is taken to be monotone (``costs`` builds each
     descriptor kind that way and ``Table`` refuses anything else), and
@@ -209,7 +226,7 @@ class CostMatrix:
     bundle's own price.
     """
 
-    __slots__ = ("funcs", "bundles", "cost", "_evaluate", "_marginal", "_drop")
+    __slots__ = ("funcs", "bundles", "cost", "changed", "_evaluate", "_marginal", "_drop")
 
     def __init__(
         self,
@@ -225,12 +242,13 @@ class CostMatrix:
         self._evaluate, self._marginal = ops.evaluate, ops.marginal
         self.cost = [[self._evaluate(fn, b) for b in self.bundles] for fn in self.funcs]
         self._drop: list[int | None] = [None] * len(self.bundles)
+        self.changed = full_set(len(self.bundles))
 
     def update(self, j: int, bundle: ItemSet, known: dict[int, int] | None = None) -> None:
         """Replace bundle j and re-price it for every agent.
 
-        When the bundle grew by one item, ``known`` may map agents to their
-        marginal for that item on the old bundle; those are not asked.  The
+        When the bundle grew, ``known`` may map agents to their price
+        increase (for one item, its marginal); those are not asked.  The
         worst drop of j is derived when the bundle grew and its owner's
         price did not (see the class docstring); otherwise it is marked
         stale and re-queried on first read.
@@ -239,15 +257,19 @@ class CostMatrix:
         self.bundles[j] = bundle
         added = bundle & ~old
         grew = bool(added) and bundle & old == old
+        known = known if grew and known else {}
         if grew and not added & (added - 1):
             e = added.bit_length() - 1
-            known = known or {}
             for k, (row, fn) in enumerate(zip(self.cost, self.funcs)):
                 step = known.get(k)
                 row[j] += self._marginal(fn, e, old) if step is None else step
         else:
-            for row, fn in zip(self.cost, self.funcs):
-                row[j] = self._evaluate(fn, bundle)
+            for k, (row, fn) in enumerate(zip(self.cost, self.funcs)):
+                step = known.get(k)
+                was, row[j] = row[j], self._evaluate(fn, bundle) if step is None else row[j] + step
+                if row[j] < was:
+                    self.changed |= 1 << k
+        self.changed |= 1 << j
         self._drop[j] = price if grew and self.cost[j][j] == price else None
 
     def _item_drops(self, i: int) -> list[tuple[int, int]]:
@@ -268,16 +290,17 @@ class CostMatrix:
         """c_i(X_i) <= c_i(X_k) for every k != i; true when n < 2."""
         return len(self.bundles) < 2 or self.cost[i][i] <= self._cheapest_rival(i)
 
-    def is_efx(self) -> bool:
-        """Plain removal stability, stopping at the first unstable agent.
+    def is_efx(self, agents: ItemSet | None = None) -> bool:
+        """Plain removal stability of the bitmask ``agents`` (default: all
+        of them), stopping at the first unstable agent.
 
         Against every rival at once it reduces to one comparison per agent
         holding items: her worst drop must not exceed the cheapest rival
         bundle.
         """
+        rows = range(len(self.bundles)) if agents is None else iter_items(agents)
         return len(self.bundles) < 2 or all(
-            not b or self.worst_drop(i) <= self._cheapest_rival(i)
-            for i, b in enumerate(self.bundles)
+            not self.bundles[i] or self.worst_drop(i) <= self._cheapest_rival(i) for i in rows
         )
 
     def ef_violations(self, alpha: Fraction | int | str = 1) -> list[Violation]:
@@ -507,22 +530,32 @@ def is_po_bruteforce(
 class EnvyGraph:
     """Directed graph on agents with an edge (i, j) whenever agent i's cost
     for her own bundle equals her cost for j's bundle (i is on the verge of
-    envying j)."""
+    envying j).  ``components[v]`` labels v's strongly connected component
+    (what v reaches and is reached from) by its lowest agent; an edge lies
+    on a cycle iff its ends share a label.
+    """
 
     n: int
     edges: frozenset[tuple[int, int]]
-    _succ: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _succ: list[ItemSet] = field(init=False, repr=False, compare=False)
+    components: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        succ: list[list[int]] = [[] for _ in range(self.n)]
+        succ, pred, label = [0] * self.n, [0] * self.n, [-1] * self.n
         for i, j in self.edges:
             if i == j or not (0 <= i < self.n and 0 <= j < self.n):
                 raise InvalidInputError(f"bad envy edge ({i}, {j}) for n={self.n}")
-            succ[i].append(j)
-        object.__setattr__(self, "_succ", tuple(tuple(sorted(s)) for s in succ))
+            succ[i] |= 1 << j
+            pred[j] |= 1 << i
+        for v in range(self.n):
+            if label[v] < 0:
+                for w in iter_items(_closure(succ, v) & _closure(pred, v)):
+                    label[w] = v
+        object.__setattr__(self, "_succ", succ)
+        object.__setattr__(self, "components", tuple(label))
 
     def successors(self, i: int) -> list[int]:
-        return list(self._succ[i])
+        return list(iter_items(self._succ[i]))
 
     def has_edge(self, i: int, j: int) -> bool:
         return (i, j) in self.edges
@@ -547,23 +580,14 @@ def _closure(adjacency: list[int], v: int) -> int:
 
 
 def tail_scc(graph: EnvyGraph) -> frozenset[int]:
-    """A strongly connected component with no edges leaving it.
-
-    Agent v lies in such a component iff every agent it reaches reaches v
-    back, and the component is then v plus what v reaches.  Deterministic
-    choice: the first v that qualifies, the lowest agent of any such
-    component.
-    """
-    succ = [0] * graph.n
-    pred = [0] * graph.n
-    for i, j in graph.edges:
-        succ[i] |= 1 << j
-        pred[j] |= 1 << i
-    for v in range(graph.n):
-        ahead = _closure(succ, v)
-        if not ahead & ~_closure(pred, v):
-            return frozenset(iter_items(ahead))
-    raise InvalidInputError("an envy graph without agents has no component")
+    """The strongly connected component, read off the graph's labels, of
+    the lowest agent whose component no edge leaves."""
+    label = graph.components
+    left = {label[i] for i, j in graph.edges if label[i] != label[j]}
+    tail = next((c for c in label if c not in left), None)
+    if tail is None:
+        raise InvalidInputError("an envy graph without agents has no component")
+    return frozenset(v for v in range(graph.n) if label[v] == tail)
 
 
 def find_cycle_through_edge(graph: EnvyGraph, i: int, j: int) -> list[int] | None:

@@ -53,6 +53,8 @@ BUILTIN_NAMES = (
 
 # Random explicit tables need dense storage during generation.
 TABLE_FAMILY_MAX_M = 12
+# generate() refuses larger sizes before drawing anything (n * m values).
+GENERATE_MAX_N, GENERATE_MAX_M = 1_000, 10_000
 
 # The class each closed-form kind provably belongs to, by exact type:
 # capped and symmetric functions are cancelable but not additive in
@@ -362,6 +364,9 @@ def generate(
         raise InvalidInputError(f"unknown family {family!r}; choose from {GENERATOR_FAMILIES}")
     if n < 1 or m < 0:
         raise InvalidInputError(f"need n >= 1 and m >= 0, got n={n}, m={m}")
+    if n > GENERATE_MAX_N or m > GENERATE_MAX_M:
+        bound = f"n <= {GENERATE_MAX_N} and m <= {GENERATE_MAX_M}"
+        raise InvalidInputError(f"generate supports {bound}, got n={n}, m={m}")
     if seed < 0:
         raise InvalidInputError(f"seed must be non-negative, got {seed}")
     streams = [np.random.Generator(np.random.PCG64(s)) for s in np.random.SeedSequence(seed).spawn(n)]

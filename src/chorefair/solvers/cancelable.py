@@ -11,6 +11,7 @@ cost ever exceeds 1 and removal stability is preserved step by step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from ..costs import CostFunction, residual
 from ..errors import InternalInvariantError, InvalidInputError
@@ -18,7 +19,7 @@ from ..fairness import CostMatrix
 from ..instances import Instance
 from ..itemset import ItemSet, full_set, iter_items, lowest, size
 from ..reports import GuaranteeTag, SolveReport
-from .common import OpCounter, Trace, check_items, ensure_class, finish
+from .common import OpCounter, Trace, check_items, ensure_class, finish, unit_to_all
 
 
 @dataclass(frozen=True)
@@ -51,14 +52,7 @@ def phase1(
     pool = full_set(inst.m)
     rounds = 0
     while True:
-        picked: list[int] = []
-        for e in iter_items(pool):
-            if all(
-                ops.marginal(fn, e, bundles[i]) == 1 for i, fn in enumerate(inst.agents)
-            ):
-                picked.append(e)
-                if len(picked) == n:
-                    break
+        picked = list(islice(unit_to_all(ops, inst.agents, bundles, pool), n))
         if len(picked) < n:
             break
         rounds += 1
@@ -100,9 +94,11 @@ def phase2(
     the item, or two bundles swap.  After every iteration each view prices
     its own bundle at most 1 and the bundles are removal-stable under the
     views; both facts are re-checked every iteration and any failure
-    aborts, flagging an input outside the supported classes.  ``debug``
-    also checks the maintained cost matrix, worst drops included, against
-    a fresh build after every iteration.
+    aborts, flagging an input outside the supported classes.  The re-check
+    reads only the rows ``CostMatrix.changed`` marks, which gives the full
+    check's verdict as the previous iteration's check passed.  ``debug``
+    also compares that verdict with a full check, and the maintained cost
+    matrix, worst drops included, with a fresh build, every iteration.
 
     A free attachment is decided from agent i's matrix row alone: attaching
     an item of zero marginal to X_i keeps removal stability iff
@@ -130,9 +126,7 @@ def phase2(
         check_items(v.m, [remaining])
     m_total = max((v.m for v in views), default=0)
 
-    unit_items = [
-        e for e in iter_items(remaining) if all(ops.marginal(v, e, 0) == 1 for v in views)
-    ]
+    unit_items = list(unit_to_all(ops, views, [0] * n, remaining))
     if len(unit_items) >= n:
         raise InternalInvariantError(
             f"{len(unit_items)} universally unit-cost items for {n} agents; the "
@@ -214,13 +208,17 @@ def phase2(
                 matrix.update(j, bi)
                 counters["swaps"] += 1
                 tr.emit("swap", agents=[i, j])
-        for i in range(n):
+        rows, matrix.changed = matrix.changed, 0
+        for i in iter_items(rows):
             if cost[i][i] > 1:
                 raise InternalInvariantError(
                     f"agent {i}'s residual bundle cost reached {cost[i][i]} after "
                     f"iteration {counters['iterations']}"
                 )
-        if not matrix.is_efx():
+        stable = matrix.is_efx(rows)
+        if debug and CostMatrix(views, bundles).is_efx() != stable:
+            raise InternalInvariantError("the changed rows and a full check disagree")
+        if not stable:
             raise InternalInvariantError(
                 f"removal stability under the residual views broke after "
                 f"iteration {counters['iterations']}"

@@ -3,14 +3,14 @@ the epilogue that re-proves a solver's tag before it returns."""
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 from ..costs import CostFunction, _check_mask
 from ..costs import _marginal as marginal
 from ..errors import InternalInvariantError, InvalidInputError, WrongClassError
 from ..fairness import Allocation
 from ..instances import CLASS_RANK, Instance, proves
-from ..itemset import ItemSet
+from ..itemset import ItemSet, iter_items
 from ..reports import GuaranteeTag, SolveReport, _prove
 
 # Ground sets at most this large get their declared class verified
@@ -117,6 +117,22 @@ def check_items(m: int, masks: Iterable[ItemSet]) -> None:
         if seen & mask:
             raise InvalidInputError(f"item set {bin(mask)} overlaps another given item set")
         seen |= mask
+
+
+def unit_to_all(ops: OpCounter, funcs: Sequence, bases: Sequence, pool: ItemSet) -> Iterator[int]:
+    """Yield, in index order, the items of ``pool`` that every agent prices
+    at 1 on top of her base, asking first the agent that refused last: she
+    tends to refuse the next item too, and the order changes no verdict."""
+    first = 0
+    for e in iter_items(pool):
+        if ops.marginal(funcs[first], e, bases[first]) != 1:
+            continue
+        for i, fn in enumerate(funcs):
+            if i != first and ops.marginal(fn, e, bases[i]) != 1:
+                first = i
+                break
+        else:
+            yield e
 
 
 def evaluate(fn: CostFunction, mask: ItemSet) -> int:

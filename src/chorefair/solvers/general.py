@@ -38,39 +38,44 @@ def run_envy_loop(
     pair), cycle rotation (edges in lexicographic order, items in index
     order, shortest cycle), then the batch hand-out to the equality
     component containing the lowest agent, or termination when items run
-    out.  The cost matrix behind the equality graph is re-priced only for
-    the bundles an iteration changed, and a bundle that grew by one item
-    from one marginal per agent.  ``debug`` re-checks envy-freeness and the
-    maintained matrix against a fresh build after every iteration.
+    out.  ``bundles`` and ``pool`` must be disjoint item sets of the
+    instance's ground set; they are checked once here, and the loop asks
+    its queries through ``ops`` unchecked.  ``debug`` re-checks
+    envy-freeness and the maintained matrix against a fresh build after
+    every iteration, and envy-freeness after every placement of a run.
+
+    Each rule works only where something changed.  Rule 1 places an
+    agent's whole run of free items at once: the lowest agent with one
+    stays the lowest until she has none, as every lower agent's memo covers
+    the pool, no other bundle moves and her price does not.  Each placement
+    counts as an iteration and emits its event.  Rule 2 tries only the
+    edges whose ends share a strongly connected component (labelled once
+    per graph), exactly those on a cycle, and searches the cycle only for
+    the edge that places an item.  The cost matrix behind the equality
+    graph is re-priced only for the bundles an iteration changed, a bundle
+    that grew by one item from one marginal per agent.
 
     Marginal queries are memoised per call: ``unit[(i, B)]`` holds the
-    items whose marginal for agent i on bundle B is known to be exactly 1.
-    The answer depends only on the agent, the bundle and the item, so an
-    entry stays exact when bundles rotate between agents and as the pool
-    shrinks.  Every rule skips the items it lists, and a zero answer
-    places its item, changing the bundle, so with binary marginals each
-    (agent, bundle, item) marginal is queried at most once.  The matrix's
-    one-item re-prices keep that promise: the units the memo holds, and
-    rule 1's zero for the placing agent, are handed to ``update`` rather
-    than asked again, and the marginals it does ask are on a bundle that
-    no rule will see again.
-
-    ``bundles`` and ``pool`` must be disjoint item sets of the instance's
-    ground set; they are checked once here, and the loop asks its queries
-    through ``ops`` unchecked.
+    items whose marginal for agent i on bundle B is known to be exactly 1,
+    which stays exact as bundles rotate and the pool shrinks.  Every rule
+    skips the items it lists, and a zero answer places its item, changing
+    the bundle, so each (agent, bundle, item) marginal is asked at most
+    once.  The re-prices keep that promise: the memo's units and the
+    placing agent's zero increase are handed to ``update``, which asks only
+    on bundles no rule will see again.
 
     A whole pool is certified unit with one price.  For a cost whose
     marginals are at most 1 (the class gate proves this of every agent), if
     c(B ∪ R) - c(B) = |R| for R disjoint from B, then every e in R has
     c(B + e) - c(B) = 1: put e first in the telescoping sum; each other
     term is at most 1, so e's term must be 1.  c_i(X_j) is the maintained
-    ``matrix.cost[i][j]``, current at every rule because the matrix is
-    re-priced only at the end of an iteration.  So after the first unit
-    answer of a scan, when at least two unknown pool items remain, one
-    query of their union either certifies them all (they join the memo and
-    the scan ends empty) or fails, and the scan goes on item by item as
-    before; the returned item is the same either way.  ``debug`` re-asks
-    every certified item, uncounted.
+    ``matrix.cost[i][j]``, current at every rule: the matrix is re-priced
+    only at the end of an iteration, and a run leaves its agent's price
+    as it was.  So after the first unit answer of a scan, when at least two
+    unknown pool items remain, one query of their union either certifies
+    them all (they join the memo and the scan ends empty) or fails, and the
+    scan goes on item by item; the returned item is the same either way.
+    ``debug`` re-asks every certified item, uncounted.
     """
     ops = ops or OpCounter()
     tr = tr or Trace(False)
@@ -122,25 +127,31 @@ def run_envy_loop(
         known: dict[int, int] = {}
         for i in range(n):
             e = lowest_free(i, i, pool)
-            if e is not None:
+            while e is not None:
                 bundles[i] |= 1 << e
                 pool &= ~(1 << e)
                 counters["zero_placements"] += 1
                 tr.emit("zero-marginal", item=e, agent=i)
-                touched = [i]
-                known[i] = 0
+                if debug and CostMatrix(inst.agents, bundles).ef_violations(1):
+                    raise InternalInvariantError(f"envy appeared placing item {e}")
+                touched, known = [i], {i: 0}
+                e = lowest_free(i, i, pool)
+                if e is not None:
+                    counters["iterations"] += 1
+            if touched:
                 break
 
         if not touched:
             # rule 1 reads no graph, so it is built only once rule 1 placed
             # nothing, from the matrix rule 1 left unchanged
             graph = matrix.graph()
+            label = graph.components
             for i, j in sorted(graph.edges):
-                cycle = find_cycle_through_edge(graph, i, j)
-                if cycle is None:
+                if label[i] != label[j]:
                     continue
                 e = lowest_free(i, j, pool)
                 if e is not None:
+                    cycle = find_cycle_through_edge(graph, i, j)
                     old = [bundles[v] for v in cycle]
                     for idx, u in enumerate(cycle):
                         bundles[u] = old[(idx + 1) % len(cycle)]
@@ -179,7 +190,10 @@ def run_envy_loop(
 
         for j in touched:
             old = matrix.bundles[j]
-            steps = {k: 1 for k in range(n) if unit.get((k, old), 0) & bundles[j]}
+            added = bundles[j] & ~old
+            # the memo's units are the steps of a one-item growth only
+            one = not added & (added - 1)
+            steps = {k: 1 for k in range(n) if one and unit.get((k, old), 0) & added}
             matrix.update(j, bundles[j], steps | known)
         if debug:
             matrix.check_against_rebuild()

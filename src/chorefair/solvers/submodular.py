@@ -18,7 +18,7 @@ from ..instances import Instance
 from ..itemset import ItemSet, full_set, iter_items, size
 from ..reports import GuaranteeTag, SolveReport
 from .cancelable import phase2
-from .common import OpCounter, Trace, ensure_class, finish
+from .common import OpCounter, Trace, ensure_class, finish, unit_to_all
 from .general import run_envy_loop
 
 
@@ -29,11 +29,7 @@ def compute_m1(inst: Instance) -> ItemSet:
 
 
 def _compute_m1(inst: Instance, ops: OpCounter) -> ItemSet:
-    mask = 0
-    for e in range(inst.m):
-        if all(ops.marginal(fn, e, 0) == 1 for fn in inst.agents):
-            mask |= 1 << e
-    return mask
+    return sum(1 << e for e in unit_to_all(ops, inst.agents, [0] * inst.n, full_set(inst.m)))
 
 
 def solve_submodular(

@@ -3,6 +3,7 @@ import json
 import logging
 import os
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -520,6 +521,26 @@ class TestPlumbing:
                              "-m", "3", "--seed", "-1")
         assert code == 2 and out == ""
         assert err == "error: seed must be non-negative, got -1\n"
+
+    def test_generate_past_the_size_bound_exits_2_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "generate", "--family", "binary_additive", "-n", "2",
+                             "-m", str(10**8))
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out == ""
+        assert err == (
+            "error: generate supports n <= 1000 and m <= 10000, got n=2, m=100000000\n"
+        )
+
+    def test_alpha_with_a_huge_exponent_exits_2_at_once(self, capsys, tmp_path):
+        path = write_instance(tmp_path, builtin("ternary-no-efxpo"))
+        alloc = write_allocation(tmp_path, [[0, 2], [1]])
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--input", path, "--allocation", alloc,
+                             "--criteria", "alpha-ef:1e3000000")
+        assert time.perf_counter() - start < 0.5
+        assert code == 2 and out == "" and len(err.splitlines()) == 1
+        assert err.startswith("error: criterion 'alpha-ef:1e3000000': alpha text longer than")
 
     @pytest.mark.parametrize("criterion", ["alpha-ef:1e5000", "alpha-efx:2e5000"])
     def test_alpha_too_long_to_print_exits_2_in_one_line(self, capsys, tmp_path, criterion):

@@ -114,6 +114,17 @@ def test_alpha_validation():
         is_alpha_ef(inst, alloc, "1/2")
     with pytest.raises(InvalidInputError):
         is_alpha_ef(inst, alloc, "x")
+    # too long to print as a Fraction: the refusal names the text as given
+    with pytest.raises(InvalidInputError, match="alpha must be >= 1, got 1e-5000"):
+        is_alpha_ef(inst, alloc, "1e-5000")
+
+
+@pytest.mark.parametrize("text", ["1e3000000", "2E-3000000", "1e3_000_000", "1" * 10_001])
+def test_alpha_text_past_the_bound_is_refused_before_parsing(text):
+    inst = ternary()
+    alloc = Allocation(n=2, m=3, bundles=(0b101, 0b010))
+    with pytest.raises(InvalidInputError, match="alpha text longer than"):
+        is_alpha_ef(inst, alloc, text)
 
 
 def test_empty_bundles_are_vacuously_stable():

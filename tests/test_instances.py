@@ -15,6 +15,8 @@ from chorefair.costs import (
 from chorefair.errors import InvalidInputError, ParseError
 from chorefair.instances import (
     BUILTIN_NAMES,
+    GENERATE_MAX_M,
+    GENERATE_MAX_N,
     GENERATOR_FAMILIES,
     Instance,
     builtin,
@@ -211,6 +213,14 @@ def test_generate_rejects_bad_arguments():
         generate("table", 2, 13, seed=0)
     with pytest.raises(InvalidInputError, match="seed must be non-negative, got -1"):
         generate("cardinality", 2, 3, seed=-1)
+
+
+@pytest.mark.parametrize(
+    "n, m", [(2, 10**8), (GENERATE_MAX_N + 1, 3), (2, GENERATE_MAX_M + 1)]
+)
+def test_generate_refuses_sizes_past_its_bound_before_drawing(n, m):
+    with pytest.raises(InvalidInputError, match=f"got n={n}, m={m}"):
+        generate("binary_additive", n, m, seed=0)
 
 
 def test_builtin_catalog():

@@ -6,16 +6,19 @@ Each sweep hashes, for every instance, the solver's JSON report minus the
 legitimately save; everything else is the solver's observable behaviour.
 The instance sets are those of acceptance criteria 01, 03, 04 and 05, plus
 one instance per generator family at the sizes the solve-large benchmark
-workload uses.  A changed digest means a change of behaviour, which must be
-deliberate and explained before the recorded digest is replaced.
+workload uses, and two long solver loops in sweeps of their own.  A
+changed digest means a change of behaviour, which must be deliberate and
+explained before the recorded digest is replaced.
 """
 
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
-from chorefair.instances import generate
+from chorefair.costs import Cardinality
+from chorefair.instances import Instance, generate
 from chorefair.solvers import (
     solve_additive,
     solve_auto,
@@ -61,12 +64,27 @@ def _stress():
         yield generate(family, n, m, seed=1, params=params), solve_auto
 
 
+# Long solver loops, one instance each: a threshold envy loop that places
+# long runs of free items, and a cardinality phase 2 with per-agent caps
+# 6-16 that attaches many items per agent.
+def _stress_threshold():
+    yield generate("threshold", 10, 400, seed=1, params={"k": 100}), solve_auto
+
+
+def _stress_cardinality():
+    caps = np.random.default_rng(1).integers(6, 17, size=20)
+    agents = tuple(Cardinality(cap=int(c), m=400) for c in caps)
+    yield Instance(n=20, m=400, agents=agents, declared_class="cancelable"), solve_auto
+
+
 SWEEPS = {
     "acceptance-01": (_acceptance_01, "34903851804bd6f0"),
     "acceptance-03": (_acceptance_03, "b94f9600c12c92d2"),
     "acceptance-04": (_acceptance_04, "14e39f9676800673"),
     "acceptance-05": (_acceptance_05, "80b2fee09c142a3b"),
     "stress": (_stress, "948d9d3ecfe28f88"),
+    "stress-cardinality": (_stress_cardinality, "4e557950d7c9acbf"),
+    "stress-threshold": (_stress_threshold, "30c27fef2dff89aa"),
 }
 
 
