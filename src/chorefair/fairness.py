@@ -6,7 +6,9 @@ own bundle.  Envy-freeness (optionally scaled by a rational factor alpha),
 its removal-stable variant (no agent may prefer another bundle after
 dropping any single item of her own, "EFX") and the equality envy graph
 used by the coarser solvers are all read off it.  The checkers here build
-one fresh matrix per call; solvers keep one up to date as bundles change.
+one fresh matrix per call; solvers keep one up to date as bundles change,
+and it prices other agents' entries of a grown bundle only when a reader
+needs more than the lower bound it keeps.
 Pareto optimality is decided by exhaustive comparison, on the one scan
 engine (size check, dense cost tables, blocks of ranks) that the oracle
 walks too.
@@ -189,13 +191,15 @@ class _CheckedQueries:
 class CostMatrix:
     """Every agent's price for every bundle, kept current as bundles change.
 
-    ``cost[i][j]`` is c_i(X_j).  ``worst_drop(i)`` is max over e in X_i of
-    c_i(X_i - e), the highest price agent i can be left with after giving up
-    one item; it is queried on first read and cached until X_i changes,
-    unless ``update`` can derive it (below).  Each item's drop is read as
-    c_i(X_i) - marginal_i(e, X_i - e), one closed-form marginal instead of a
-    whole-set price.  Envy-freeness, removal stability and the equality envy
-    graph are all read off these numbers.
+    ``cost[i][j]`` is c_i(X_j) or, for i != j, a lower bound of it that
+    ``price(i, j)`` replaces with the price when asked.  ``worst_drop(i)``
+    is max over e in X_i of c_i(X_i - e), the highest price agent i can be
+    left with after giving up one item; it is queried on first read and
+    cached until X_i changes, unless ``update`` can derive it (below).
+    Each item's drop is read as c_i(X_i) - marginal_i(e, X_i - e), one
+    closed-form marginal instead of a whole-set price.  Envy-freeness,
+    removal stability and the equality envy graph are all read off these
+    numbers.
 
     ``ops`` answers the queries: an object with ``evaluate(fn, mask)`` and
     ``marginal(fn, item, mask)``, such as a solver's counting, unchecked
@@ -204,29 +208,30 @@ class CostMatrix:
     mask and item.  Either way the two names are resolved per call, so a
     wrapper installed on them afterwards still sees every query.
 
-    ``update`` re-prices the one bundle that changed.  When bundle j grew
-    by one item e, row k is re-priced as c_k(X_j) + marginal_k(e, X_j);
-    any other change re-prices the bundle whole, and a price increase the
-    caller already knows is passed in and not asked again.  Either way a
-    solver that moves a few items per step pays at most n queries per
-    changed bundle instead of a full rebuild.
+    Other agents' entries are priced on read.  When ``update`` grows bundle
+    j, the owner's price is handed over or asked, and every other row the
+    caller's known increases do not cover keeps its old entry as a lower
+    bound, marked stale.  Any other change re-prices the bundle whole.  A
+    reader asks a stale entry, one whole price, only when its bound could
+    change the verdict, so no price that no rule needs is ever asked.
 
     ``changed`` marks the agents whose removal-stability inputs moved
     since a caller cleared it: all at first, then each updated bundle's
-    owner and every agent whose price for it fell.  For any other agent
-    nothing moved but dearer rivals, so if the matrix was removal-stable
-    when ``changed`` was cleared, ``is_efx(changed)`` is the full verdict.
+    owner and every agent whose price for it fell or was stale when it was
+    re-priced whole.  For any other agent nothing moved but dearer rivals,
+    so if the matrix was removal-stable when ``changed`` was cleared,
+    ``is_efx(changed)`` is the full verdict.
 
     Every cost function is taken to be monotone (``costs`` builds each
-    descriptor kind that way and ``Table`` refuses anything else), and
-    ``update`` relies on it: when bundle j grows to a strict superset and
-    its owner's price stays the same, the worst drop is that price, with
-    no query.  Dropping an added item leaves a superset of the old bundle,
-    priced at least the old (equal) price, and no drop can exceed the
-    bundle's own price.
+    descriptor kind that way and ``Table`` refuses anything else), and the
+    bounds rely on it, as does ``update`` here: when bundle j grows to a
+    strict superset and its owner's price stays the same, the worst drop is
+    that price, with no query.  Dropping an added item leaves a superset of
+    the old bundle, priced at least the old (equal) price, and no drop can
+    exceed the bundle's own price.
     """
 
-    __slots__ = ("funcs", "bundles", "cost", "changed", "_evaluate", "_marginal", "_drop")
+    __slots__ = ("funcs", "bundles", "cost", "changed", "_evaluate", "_marginal", "_drop", "_stale")
 
     def __init__(
         self,
@@ -243,34 +248,50 @@ class CostMatrix:
         self.cost = [[self._evaluate(fn, b) for b in self.bundles] for fn in self.funcs]
         self._drop: list[int | None] = [None] * len(self.bundles)
         self.changed = full_set(len(self.bundles))
+        # per column, a bitmask of the rows whose entry is a lower bound
+        self._stale = [0] * len(self.bundles)
 
     def update(self, j: int, bundle: ItemSet, known: dict[int, int] | None = None) -> None:
-        """Replace bundle j and re-price it for every agent.
+        """Replace bundle j and re-price it for its owner, and, unless it
+        grew, for every agent.
 
         When the bundle grew, ``known`` may map agents to their price
-        increase (for one item, its marginal); those are not asked.  The
+        increase; those are not asked, and an exact entry stays exact.  The
         worst drop of j is derived when the bundle grew and its owner's
         price did not (see the class docstring); otherwise it is marked
         stale and re-queried on first read.
         """
-        old, price = self.bundles[j], self.cost[j][j]
+        old, price, cost = self.bundles[j], self.cost[j][j], self.cost
         self.bundles[j] = bundle
-        added = bundle & ~old
-        grew = bool(added) and bundle & old == old
-        known = known if grew and known else {}
-        if grew and not added & (added - 1):
-            e = added.bit_length() - 1
-            for k, (row, fn) in enumerate(zip(self.cost, self.funcs)):
-                step = known.get(k)
-                row[j] += self._marginal(fn, e, old) if step is None else step
+        grew = bundle != old and bundle & old == old
+        if grew:
+            exact = full_set(len(cost)) & ~self._stale[j]
+            for k, step in (known or {}).items():
+                if exact >> k & 1:
+                    cost[k][j] += step
+                    exact ^= 1 << k
+            if exact >> j & 1:
+                cost[j][j] = self._evaluate(self.funcs[j], bundle)
+            self._stale[j] |= exact & ~(1 << j)
         else:
-            for k, (row, fn) in enumerate(zip(self.cost, self.funcs)):
-                step = known.get(k)
-                was, row[j] = row[j], self._evaluate(fn, bundle) if step is None else row[j] + step
+            for k, (row, fn) in enumerate(zip(cost, self.funcs)):
+                was, row[j] = row[j], self._evaluate(fn, bundle)
                 if row[j] < was:
                     self.changed |= 1 << k
+            self.changed |= self._stale[j]
+            self._stale[j] = 0
         self.changed |= 1 << j
-        self._drop[j] = price if grew and self.cost[j][j] == price else None
+        self._drop[j] = price if grew and cost[j][j] == price else None
+
+    def price(self, k: int, j: int, floor: int | None = None) -> int:
+        """c_k(X_j), asked now if the entry is stale, unless its bound
+        already reaches ``floor``: then the bound is returned, and
+        c_k(X_j) >= floor is all it tells."""
+        row = self.cost[k]
+        if self._stale[j] >> k & 1 and (floor is None or row[j] < floor):
+            self._stale[j] ^= 1 << k
+            row[j] = self._evaluate(self.funcs[k], self.bundles[j])
+        return row[j]
 
     def _item_drops(self, i: int) -> list[tuple[int, int]]:
         fn, mine, price = self.funcs[i], self.bundles[i], self.cost[i][i]
@@ -282,13 +303,17 @@ class CostMatrix:
             self._drop[i] = max(c for _, c in self._item_drops(i))
         return self._drop[i]
 
-    def _cheapest_rival(self, i: int) -> int:
+    def _reaches(self, i: int, limit: int) -> bool:
+        """c_i(X_k) >= limit for every k, for a limit at most c_i(X_i);
+        only the stale entries below it are asked."""
         row = self.cost[i]
-        return min(row[:i] + row[i + 1 :])
+        return min(row) >= limit or all(
+            b >= limit or self.price(i, k) >= limit for k, b in enumerate(row)
+        )
 
     def envies_nobody(self, i: int) -> bool:
         """c_i(X_i) <= c_i(X_k) for every k != i; true when n < 2."""
-        return len(self.bundles) < 2 or self.cost[i][i] <= self._cheapest_rival(i)
+        return self._reaches(i, self.cost[i][i])
 
     def is_efx(self, agents: ItemSet | None = None) -> bool:
         """Plain removal stability of the bitmask ``agents`` (default: all
@@ -299,9 +324,7 @@ class CostMatrix:
         bundle.
         """
         rows = range(len(self.bundles)) if agents is None else iter_items(agents)
-        return len(self.bundles) < 2 or all(
-            not self.bundles[i] or self.worst_drop(i) <= self._cheapest_rival(i) for i in rows
-        )
+        return all(not self.bundles[i] or self._reaches(i, self.worst_drop(i)) for i in rows)
 
     def ef_violations(self, alpha: Fraction | int | str = 1) -> list[Violation]:
         """Pairs (i, j) with c_i(X_i) > alpha * c_i(X_j), in (i, j) order."""
@@ -310,7 +333,7 @@ class CostMatrix:
             Violation("ef", i, j, None)
             for i, row in enumerate(self.cost)
             for j, other in enumerate(row)
-            if j != i and row[i] > alpha * other
+            if j != i and row[i] > alpha * other and row[i] > alpha * self.price(i, j)
         ]
 
     def efx_violations(self, alpha: Fraction | int | str = 1) -> list[Violation]:
@@ -319,20 +342,23 @@ class CostMatrix:
         worst drop exceeds alpha times their cheapest rival bundle."""
         alpha = _as_alpha(alpha)
         out: list[Violation] = []
-        if len(self.bundles) < 2:
-            return out
-        for i, row in enumerate(self.cost):
-            if not self.bundles[i] or self.worst_drop(i) <= alpha * self._cheapest_rival(i):
+        for i in range(len(self.bundles)):
+            # integer prices reach drop / alpha iff they reach its ceiling
+            if not self.bundles[i] or self._reaches(i, -(-self.worst_drop(i) // alpha)):
                 continue
             drops = self._item_drops(i)
-            for j, other in enumerate(row):
+            for j in range(len(self.bundles)):
                 if j != i:
-                    bound = alpha * other
+                    bound = alpha * self.price(i, j)
                     out.extend(Violation("efx", i, j, e) for e, c in drops if c > bound)
         return out
 
     def graph(self) -> EnvyGraph:
-        """Equality envy graph: (i, j) whenever c_i(X_i) == c_i(X_j)."""
+        """Equality envy graph: (i, j) whenever c_i(X_i) == c_i(X_j).  A
+        stale entry whose bound passes the owner's price is no edge, unasked."""
+        for j, stale in enumerate(self._stale):
+            for k in iter_items(stale):
+                self.price(k, j, self.cost[k][k] + 1)
         edges = frozenset(
             (i, j)
             for i, row in enumerate(self.cost)
@@ -342,15 +368,19 @@ class CostMatrix:
         return EnvyGraph(n=len(self.cost), edges=edges)
 
     def check_against_rebuild(self) -> None:
-        """Raise when a maintained entry differs from a fresh build.
+        """Raise when a maintained entry differs from a fresh build, or a
+        stale one exceeds it.
 
-        Debug aid for solvers; the fresh build uses ``evaluate`` directly,
-        so the check adds nothing to the caller's query count.
+        Debug aid for solvers; the fresh build uses ``evaluate`` directly
+        and no stale entry is asked, so the check adds nothing to the
+        caller's query count.
         """
         fresh = CostMatrix(self.funcs, self.bundles)
-        if fresh.cost != self.cost or any(
-            d is not None and d != fresh.worst_drop(i) for i, d in enumerate(self._drop)
-        ):
+        if any(
+            got > want if self._stale[j] >> k & 1 else got != want
+            for k, (mine, theirs) in enumerate(zip(self.cost, fresh.cost))
+            for j, (got, want) in enumerate(zip(mine, theirs))
+        ) or any(d is not None and d != fresh.worst_drop(i) for i, d in enumerate(self._drop)):
             raise InternalInvariantError(
                 "incrementally maintained cost matrix drifted from a fresh build"
             )

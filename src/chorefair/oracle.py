@@ -37,9 +37,9 @@ class EnumerationReport:
     """Everything the exhaustive scan can say about an instance.
 
     The two lists hold every qualifying allocation in ascending rank
-    order; on permissive limits they can get large (the scan caps out at
-    10^7 allocations, all of which could qualify), so callers who only
-    need the booleans should restrict ``sections``.
+    order; on permissive limits they can get large (the default limit is
+    10^7 allocations and the hard cap 10^8, all of which could qualify),
+    so callers who only need the booleans should restrict ``sections``.
     """
 
     total_allocations: int

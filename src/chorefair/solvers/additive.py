@@ -105,8 +105,8 @@ def solve_additive(
                     f"derived worst drop {worst_drop} of agent {i_star} in round "
                     f"{counters['rounds']} differs from a fresh query"
                 )
-        rivals = matrix.cost[i_star]
-        target = next((j for j in range(n) if j != i_star and worst_drop > rivals[j]), None)
+        rivals = (j for j in range(n) if j != i_star)
+        target = next((j for j in rivals if worst_drop > matrix.price(i_star, j, worst_drop)), None)
         if target is not None:
             j = target
             counters["reassignments"] += 1
@@ -137,7 +137,7 @@ def solve_additive(
             matrix.update(j, theirs)
         if debug:
             matrix.check_against_rebuild()
-            if not matrix.is_efx():
+            if not CostMatrix(inst.agents, matrix.bundles).is_efx():
                 raise InternalInvariantError(
                     f"removal stability broke in round {counters['rounds']}"
                 )

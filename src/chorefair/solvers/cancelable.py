@@ -61,10 +61,10 @@ def phase1(
             pool &= ~(1 << e)
             tr.emit("base-placement", round=rounds, item=e, agent=k)
     w = size(bundles[0])
-    prices = CostMatrix(inst.agents, bundles, ops).cost
-    for i, row in enumerate(prices):
-        for j, got in enumerate(row):
-            if got != w:
+    prices = CostMatrix(inst.agents, bundles, ops)
+    for i in range(n):
+        for j in range(n):
+            if (got := prices.price(i, j)) != w:
                 raise InternalInvariantError(
                     f"agent {i} prices base bundle {j} at {got}, expected the "
                     f"common size {w}; the input is not cancelable"
@@ -96,9 +96,12 @@ def phase2(
     views; both facts are re-checked every iteration and any failure
     aborts, flagging an input outside the supported classes.  The re-check
     reads only the rows ``CostMatrix.changed`` marks, which gives the full
-    check's verdict as the previous iteration's check passed.  ``debug``
-    also compares that verdict with a full check, and the maintained cost
-    matrix, worst drops included, with a fresh build, every iteration.
+    check's verdict as the previous iteration's check passed.  The merge
+    and swap rules test prices for zero, so they ask only the stale
+    entries whose lower bound is 0.  ``debug`` also compares that verdict
+    with a full check, each merge or swap choice with the one a fresh
+    matrix makes, and the maintained cost matrix, worst drops included and
+    stale entries as bounds, with a fresh build, every iteration.
 
     A free attachment is decided from agent i's matrix row alone: attaching
     an item of zero marginal to X_i keeps removal stability iff
@@ -109,7 +112,7 @@ def phase2(
     the bundle X_i they compare against only gets dearer; agent i keeps her
     price, and her worst drop becomes that price (drop the new item to get
     it back; monotonicity caps every other drop).  So the bundle is
-    re-priced only when the attachment is accepted, and the owner's zero is
+    updated only when the attachment is accepted, and the owner's zero is
     handed to the matrix rather than asked again (a take likewise hands
     over the owner's step the attach scan asked).  ``debug`` compares
     every decision, accepted or refused, with an uncounted fresh check of
@@ -142,6 +145,15 @@ def phase2(
     # both lists are kept current in place by matrix.update
     bundles, cost = matrix.bundles, matrix.cost
 
+    def zero_pair(price):
+        """(i, j): the lowest agent i with a free bundle and the first other
+        bundle j she prices at zero, or None; without such an agent, the
+        first pair with a zero price, or None."""
+        owner = next((i for i in range(n) if cost[i][i] == 0), None)
+        rows = range(n) if owner is None else (owner,)
+        pair = next(((i, j) for i in rows for j in range(n) if j != i and price(i, j) == 0), None)
+        return pair or (None if owner is None else (owner, None))
+
     while pool:
         counters["iterations"] += 1
         if counters["iterations"] > 2 * m_total:
@@ -173,36 +185,29 @@ def phase2(
                     tr.emit("add", item=e, agent=i)
                     break
         if not placed:
-            i = next((i for i in range(n) if cost[i][i] == 0), None)
-            if i is not None:
-                j = next((j for j in range(n) if j != i and cost[i][j] == 0), None)
-                if j is not None:
-                    matrix.update(i, bundles[i] | bundles[j])
-                    matrix.update(j, 1 << e)
-                    pool &= ~(1 << e)
-                    counters["merges"] += 1
-                    tr.emit("merge", item=e, agent=i, absorbed=j)
-                else:
-                    matrix.update(i, bundles[i] | 1 << e, {i: steps[i]})
-                    pool &= ~(1 << e)
-                    counters["takes"] += 1
-                    tr.emit("take", item=e, agent=i)
-            else:
-                pair = next(
-                    (
-                        (i, j)
-                        for i in range(n)
-                        for j in range(n)
-                        if j != i and cost[i][j] == 0
-                    ),
-                    None,
+            pair = zero_pair(lambda i, j: matrix.price(i, j, 1))
+            if debug and zero_pair(CostMatrix(views, bundles).price) != pair:
+                raise InternalInvariantError(
+                    f"placing item {e}: the zero tests on bounds and a fresh matrix disagree"
                 )
-                if pair is None:
-                    raise InternalInvariantError(
-                        "no agent prices any bundle at zero; the input is "
-                        "outside the supported classes"
-                    )
-                i, j = pair
+            if pair is None:
+                raise InternalInvariantError(
+                    "no agent prices any bundle at zero; the input is "
+                    "outside the supported classes"
+                )
+            i, j = pair
+            if j is None:
+                matrix.update(i, bundles[i] | 1 << e, {i: steps[i]})
+                pool &= ~(1 << e)
+                counters["takes"] += 1
+                tr.emit("take", item=e, agent=i)
+            elif cost[i][i] == 0:
+                matrix.update(i, bundles[i] | bundles[j])
+                matrix.update(j, 1 << e)
+                pool &= ~(1 << e)
+                counters["merges"] += 1
+                tr.emit("merge", item=e, agent=i, absorbed=j)
+            else:
                 bi, bj = bundles[i], bundles[j]
                 matrix.update(i, bj)
                 matrix.update(j, bi)

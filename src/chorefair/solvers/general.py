@@ -52,26 +52,28 @@ def run_envy_loop(
     edges whose ends share a strongly connected component (labelled once
     per graph), exactly those on a cycle, and searches the cycle only for
     the edge that places an item.  The cost matrix behind the equality
-    graph is re-priced only for the bundles an iteration changed, a bundle
-    that grew by one item from one marginal per agent.
+    graph is updated only for the bundles an iteration changed; a grown
+    bundle is priced for its owner, and for another agent only when the
+    graph needs more than the entry's lower bound.
 
     Marginal queries are memoised per call: ``unit[(i, B)]`` holds the
     items whose marginal for agent i on bundle B is known to be exactly 1,
     which stays exact as bundles rotate and the pool shrinks.  Every rule
     skips the items it lists, and a zero answer places its item, changing
     the bundle, so each (agent, bundle, item) marginal is asked at most
-    once.  The re-prices keep that promise: the memo's units and the
-    placing agent's zero increase are handed to ``update``, which asks only
-    on bundles no rule will see again.
+    once.  The matrix keeps that promise: the memo's units and the placing
+    agent's zero increase are handed to ``update``, and any other price it
+    asks is of a bundle no rule has asked that agent about.
 
     A whole pool is certified unit with one price.  For a cost whose
     marginals are at most 1 (the class gate proves this of every agent), if
     c(B ∪ R) - c(B) = |R| for R disjoint from B, then every e in R has
     c(B + e) - c(B) = 1: put e first in the telescoping sum; each other
-    term is at most 1, so e's term must be 1.  c_i(X_j) is the maintained
-    ``matrix.cost[i][j]``, current at every rule: the matrix is re-priced
-    only at the end of an iteration, and a run leaves its agent's price
-    as it was.  So after the first unit answer of a scan, when at least two
+    term is at most 1, so e's term must be 1.  c_i(X_j) is read with
+    ``matrix.price(i, j)``, asked then if the entry is stale.  The matrix
+    is updated only at the end of an iteration, and a run leaves its
+    agent's price as it was, so that is the price of the bundle the scan
+    works on.  So after the first unit answer of a scan, when at least two
     unknown pool items remain, one query of their union either certifies
     them all (they join the memo and the scan ends empty) or fails, and the
     scan goes on item by item; the returned item is the same either way.
@@ -103,7 +105,7 @@ def run_envy_loop(
                     first = False
                     rest = pool & ~known
                     count = size(rest)
-                    if count >= 2 and ops.evaluate(fn, bundle | rest) == matrix.cost[i][j] + count:
+                    if count >= 2 and ops.evaluate(fn, bundle | rest) == matrix.price(i, j) + count:
                         if debug and any(marginal(fn, r, bundle) != 1 for r in iter_items(rest)):
                             raise InternalInvariantError(
                                 f"agent {i}'s unit-pool certificate on bundle {j} "
@@ -197,7 +199,7 @@ def run_envy_loop(
             matrix.update(j, bundles[j], steps | known)
         if debug:
             matrix.check_against_rebuild()
-            viols = matrix.ef_violations(1)
+            viols = CostMatrix(inst.agents, bundles).ef_violations(1)
             if viols:
                 raise InternalInvariantError(
                     f"envy appeared after iteration {counters['iterations']}: "

@@ -85,16 +85,16 @@ def solve_submodular(
             bundles[k] |= 1 << e
             tr.emit("leftover", item=e, agent=k)
         matrix = CostMatrix(inst.agents, bundles, ops)
-        for i, row in enumerate(matrix.cost):
-            for j, price in enumerate(row):
-                if price < 1:
+        for i in range(n):
+            for j in range(n):
+                if matrix.price(i, j) < 1:
                     raise InternalInvariantError(
                         f"agent {i} prices bundle {j} below 1 despite the "
                         "unit-cost seeding"
                     )
         for v in matrix.ef_violations(1):
             own = matrix.cost[v.i][v.i]
-            other = matrix.cost[v.i][v.j]
+            other = matrix.price(v.i, v.j)
             if own != other + 1:
                 raise InternalInvariantError(
                     f"agent {v.i} envies {v.j} by {own - other}, expected "

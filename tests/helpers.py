@@ -217,10 +217,26 @@ def gather_check_submodular(m: int, v: np.ndarray, witnesses: dict[str, Witness]
 # edge, and phase 2 with its full removal-stability re-check after every
 # iteration.  Phase 2's unit-item scan alone goes through the library's
 # ``unit_to_all``, whose asking order the reference does not pin, so that
-# the two query counts differ by the loops' work only.  ``REFERENCE_LOOPS``
-# names where each one replaces the library's, so a test can run any solver
-# on them and compare its report with the library's.
+# the two query counts differ by the loops' work only.  The loops read
+# ``matrix.cost`` directly, so they keep an ``EagerCostMatrix``.
+# ``REFERENCE_LOOPS`` names where each one replaces the library's, so a
+# test can run any solver on them and compare its report with the
+# library's.
 # ---------------------------------------------------------------------------
+
+
+class EagerCostMatrix(CostMatrix):
+    """A cost matrix that re-prices a changed bundle for every agent at
+    once, so that every ``cost`` entry is exact: one query per entry that
+    changed, as the matrix asked before it priced other agents' entries
+    on read."""
+
+    __slots__ = ()
+
+    def update(self, j: int, bundle: ItemSet, known: dict[int, int] | None = None) -> None:
+        super().update(j, bundle, known)
+        for k in range(len(self.funcs)):
+            self.price(k, j)
 
 
 def reference_phase2(
@@ -257,7 +273,7 @@ def reference_phase2(
         bundles[k] = 1 << e
         pool &= ~(1 << e)
         tr.emit("seed", item=e, agent=k)
-    matrix = CostMatrix(views, bundles, ops)
+    matrix = EagerCostMatrix(views, bundles, ops)
     # both lists are kept current in place by matrix.update
     bundles, cost = matrix.bundles, matrix.cost
 
@@ -362,7 +378,7 @@ def reference_run_envy_loop(
         counters.setdefault(key, 0)
     n, m = inst.n, inst.m
     check_items(m, [*bundles, pool])
-    matrix = CostMatrix(inst.agents, bundles, ops)
+    matrix = EagerCostMatrix(inst.agents, bundles, ops)
     unit: dict[tuple[int, ItemSet], ItemSet] = {}
 
     def lowest_free(i: int, j: int, pool: ItemSet, zero_only: bool = True) -> int | None:

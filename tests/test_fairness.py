@@ -35,9 +35,11 @@ from chorefair.fairness import (
     social_cost,
     tail_scc,
 )
-from chorefair.instances import Instance, builtin
+from chorefair.instances import Instance, builtin, generate
+from chorefair.itemset import iter_items, size
+from chorefair.solvers import solve_auto
 from chorefair.solvers.common import OpCounter
-from helpers import random_monotone_table
+from helpers import EagerCostMatrix, random_monotone_table
 
 
 def ternary():
@@ -161,29 +163,40 @@ class RecordingQueries:
         return marginal(fn, item, mask)
 
 
+def _prices(matrix):
+    """Every entry read through ``price``, which asks the stale ones."""
+    n = len(matrix.bundles)
+    return [[matrix.price(i, j) for j in range(n)] for i in range(n)]
+
+
 def test_cost_matrix_entries_and_queries():
     funcs = (Additive((1, 1, 0)), Additive((1, 0, 1)))
     ops = RecordingQueries()
     calls = ops.calls
     matrix = CostMatrix(funcs, [0b011, 0b100], ops)
-    assert matrix.cost == [[2, 0], [1, 1]]
+    assert _prices(matrix) == [[2, 0], [1, 1]]
     assert calls == [("evaluate", 0b011), ("evaluate", 0b100)] * 2
     # each item drop is the price less one marginal
     assert matrix.worst_drop(0) == 1 and matrix.worst_drop(1) == 0
     assert calls[4:] == [("marginal", 0, 0b010), ("marginal", 1, 0b001), ("marginal", 2, 0)]
-    # a one-item growth asks one marginal per row on the old bundle
+    # a growth asks its owner's price; the other row keeps its entry as a
+    # lower bound, asked on read
     matrix.update(1, 0b110)
     assert matrix.bundles == [0b011, 0b110]
-    assert matrix.cost == [[2, 1], [1, 1]]
-    assert calls[7:] == [("marginal", 1, 0b100)] * 2
+    assert calls[7:] == [("evaluate", 0b110)]
+    assert matrix.price(0, 1, 0) == 0  # the bound reaches the floor
+    assert calls[8:] == []
+    assert _prices(matrix) == [[2, 1], [1, 1]]
+    assert calls[8:] == [("evaluate", 0b110)]
     assert matrix.graph().edges == frozenset({(1, 0)})
     # any other change re-prices the bundle whole
     matrix.update(0, 0b001)
     assert calls[9:] == [("evaluate", 0b001)] * 2
     # a step the caller passes in is not asked
     matrix.update(0, 0b011, {0: 1})
-    assert calls[11:] == [("marginal", 1, 0b001)]
-    assert matrix.cost == [[2, 1], [1, 1]]
+    assert calls[11:] == []
+    assert _prices(matrix) == [[2, 1], [1, 1]]
+    assert calls[11:] == [("evaluate", 0b011)]
     matrix.check_against_rebuild()
     # the default queries refuse a grown set out of range as a price would
     message = "item set 0b1110 out of range for ground set of size 3"
@@ -222,9 +235,13 @@ class ValueOnly:
         self.value = fn.value
 
 
-def _random_descriptor(m, rng):
-    """Any descriptor kind; tables may have marginals up to 2."""
-    kind = rng.randrange(6)
+COST_KINDS = 6
+
+
+def _random_descriptor(m, rng, kind=None):
+    """A descriptor of the given kind (0 to COST_KINDS - 1), or of any kind;
+    tables may have marginals up to 2."""
+    kind = rng.randrange(COST_KINDS) if kind is None else kind
     if kind == 0:
         return Additive(tuple(rng.randint(0, 1) for _ in range(m)))
     if kind == 1:
@@ -242,10 +259,10 @@ def _random_descriptor(m, rng):
     return PartitionMatroidRank(tuple(groups), tuple(rng.randint(0, 3) for _ in groups))
 
 
-def _random_cost_function(m, rng, base):
+def _random_cost_function(m, rng, base, kind=None):
     """Every shape a matrix sees: a descriptor, a residual view of one on
     ``base``, or a protocol object without ``marginal``."""
-    fn = _random_descriptor(m, rng)
+    fn = _random_descriptor(m, rng, kind)
     shape = rng.randrange(3)
     if shape == 1:
         return residual(fn, base)
@@ -322,13 +339,116 @@ def test_cost_matrix_updates_match_fresh_build(n, m, seed, counted, moves):
             matrix.update(agent, bundles[agent])
         fresh = CostMatrix(funcs, bundles)
         assert matrix.bundles == bundles
-        assert matrix.cost == fresh.cost
+        # stale entries are checked as bounds before the readers ask them
+        matrix.check_against_rebuild()
+        assert matrix.is_efx() == _naive_is_efx(funcs, bundles)
+        assert _prices(matrix) == fresh.cost
         for i, b in enumerate(bundles):
             if b:
                 assert matrix.worst_drop(i) == fresh.worst_drop(i)
         matrix.check_against_rebuild()
-        assert matrix.is_efx() == _naive_is_efx(funcs, bundles)
         assert matrix.is_efx() == (not matrix.efx_violations(1))
+
+
+def _lazy_move(rng, m, bundles, pool, funcs):
+    """One random change to ``bundles`` (in place) and ``pool``, as the
+    solver loops make them: a growth (from the pool or by absorbing another
+    bundle, whose slot restarts), a swap, or a return to the pool.  Returns
+    the pool and the ``update`` calls, with known price increases for some
+    growths."""
+    n = len(bundles)
+    i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+    op = rng.randrange(4)
+    if op == 0 and pool:
+        take = rng.sample(list(iter_items(pool)), rng.randint(1, min(3, size(pool))))
+        grown = bundles[i] | sum(1 << e for e in take)
+        known = {
+            k: evaluate(fn, grown) - evaluate(fn, bundles[i])
+            for k, fn in enumerate(funcs)
+            if rng.random() < 0.3
+        }
+        bundles[i] = grown
+        return pool & ~grown, [(i, grown, known)]
+    if op == 1 and i != j:
+        # a merge: i absorbs j, and j restarts with a pool item if any
+        restart = pool & -pool if rng.random() < 0.7 else 0
+        bundles[i] |= bundles[j]
+        bundles[j] = restart
+        return pool & ~restart, [(i, bundles[i], None), (j, restart, None)]
+    if op == 2 and i != j:
+        bundles[i], bundles[j] = bundles[j], bundles[i]
+        return pool, [(i, bundles[i], None), (j, bundles[j], None)]
+    back = bundles[i] & -bundles[i]
+    bundles[i] &= ~back
+    return pool | back, [(i, bundles[i], None)]
+
+
+def _read_everything(matrix, fresh, rng):
+    """Ask every reader of ``matrix`` and check its verdict against the
+    exact ``fresh`` matrix's."""
+    n = len(matrix.bundles)
+    rows = rng.getrandbits(n)
+    assert matrix.is_efx(rows) == fresh.is_efx(rows)
+    for i in range(n):
+        assert matrix.envies_nobody(i) == fresh.envies_nobody(i)
+        for j in range(n):
+            floor = rng.randint(0, 3)
+            got, want = matrix.price(i, j, floor), fresh.cost[i][j]
+            assert got == want or want >= got >= floor
+    assert matrix.graph().edges == fresh.graph().edges
+    for alpha in (1, Fraction(3, 2), 2):
+        assert matrix.efx_violations(alpha) == fresh.efx_violations(alpha)
+        assert matrix.ef_violations(alpha) == fresh.ef_violations(alpha)
+    assert matrix.is_efx() == fresh.is_efx()
+
+
+@pytest.mark.parametrize("kind", range(COST_KINDS))
+def test_lazy_matrix_reads_like_a_fresh_one(kind):
+    # random growths (known price increases for some rows), merges, swaps
+    # and returns over every cost kind; before each round of reads, every
+    # entry a stale bound of its exact price; every reader's verdict that
+    # of a fresh uncounted matrix; and never more counted queries than an
+    # eager matrix asks on the same sequence and reads
+    rng = random.Random(kind)
+    for _ in range(40):
+        n, m = rng.randint(1, 5), rng.randint(1, 9)
+        base = sum(1 << e for e in range(m) if rng.random() < 0.2)
+        funcs = [_random_cost_function(m, rng, base, kind) for _ in range(n)]
+        owners = [n if base >> e & 1 else rng.randrange(n + 1) for e in range(m)]
+        bundles = [sum(1 << e for e, o in enumerate(owners) if o == i) for i in range(n)]
+        pool = sum(1 << e for e, o in enumerate(owners) if o == n and not base >> e & 1)
+        lazy_ops, eager_ops = OpCounter(), OpCounter()
+        lazy = CostMatrix(funcs, bundles, lazy_ops)
+        eager = EagerCostMatrix(funcs, bundles, eager_ops)
+        for _ in range(20):
+            pool, calls = _lazy_move(rng, m, bundles, pool, funcs)
+            for j, bundle, known in calls:
+                lazy.update(j, bundle, known)
+                eager.update(j, bundle, known)
+            fresh = CostMatrix(funcs, bundles)
+            lazy.check_against_rebuild()
+            assert all(got <= want for a, b in zip(lazy.cost, fresh.cost) for got, want in zip(a, b))
+            assert eager.cost == fresh.cost
+            seed = rng.random()
+            _read_everything(lazy, fresh, random.Random(seed))
+            _read_everything(eager, fresh, random.Random(seed))
+            assert lazy_ops.evals <= eager_ops.evals
+
+
+def test_debug_never_moves_evals():
+    # the debug cross-checks build fresh uncounted matrices and compare
+    # stale entries as bounds, so they ask nothing the solve counts
+    for family, n, m in [
+        ("binary_additive", 3, 60),
+        ("capped_additive", 6, 60),
+        ("cardinality", 8, 90),
+        ("partition_matroid", 4, 60),
+        ("threshold", 5, 80),
+    ]:
+        for seed in range(4):
+            inst = generate(family, n, m, seed)
+            plain, checked = solve_auto(inst), solve_auto(inst, debug=True)
+            assert checked.counters == plain.counters, (family, seed)
 
 
 def test_is_po_bruteforce_on_ternary():
