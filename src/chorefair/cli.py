@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from .bench import DEFAULT_MS, DEFAULT_NS, DEFAULT_RUNS, run_bench
-from .costs import CHECK_CLASS_MAX_M, check_class, sample_class
+from .costs import TABLE_MAX_M, Table, check_class
 from .errors import ChoreFairError, InvalidInputError, ParseError
 from .fairness import (
     DEFAULT_ENUMERATION_LIMIT,
@@ -34,6 +34,7 @@ from .instances import (
     Instance,
     builtin,
     generate,
+    kind_report,
     load_instance,
     serialize_instance,
 )
@@ -241,8 +242,7 @@ def _run_verify(args: argparse.Namespace) -> int:
 
 def _run_check_class(args: argparse.Namespace) -> int:
     inst = _load_target(args)
-    classify = check_class if inst.m <= CHECK_CLASS_MAX_M else sample_class
-    reports = [classify(fn) for fn in inst.agents]
+    reports = [check_class(fn) if isinstance(fn, Table) else kind_report(fn) for fn in inst.agents]
     bad = [
         i
         for i, r in enumerate(reports)
@@ -256,7 +256,7 @@ def _run_check_class(args: argparse.Namespace) -> int:
     lines = []
     for i, r in enumerate(reports):
         flags = " ".join(f"{k}={'yes' if v else 'no'}" for k, v in r.flags().items())
-        lines.append(f"agent {i}: {flags} [{r.method}]")
+        lines.append(f"agent {i}: {flags}")
         if r.witness is not None:
             s, t, e = r.witness
             lines.append(
@@ -406,8 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
         epilog=(
             "Set CHOREFAIR_LOG=debug|info|warning for stderr diagnostics. "
-            f"Exhaustive class checks support up to {CHECK_CLASS_MAX_M} items; "
-            "larger ground sets fall back to sampling."
+            "check-class decides a closed-form kind's classes by rule at any "
+            f"size, and an explicit table's (up to {TABLE_MAX_M} items) exhaustively."
         ),
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)

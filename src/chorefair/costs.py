@@ -39,8 +39,8 @@ import numpy as np
 from .errors import InternalInvariantError, InvalidInputError, UnsupportedSizeError
 from .itemset import ItemSet, full_set, iter_items, size
 
-# Exhaustive class analysis walks all 2^m subsets; beyond this, sample_class
-# is the supported route.
+# Dense value tables, and so the exhaustive class check, walk all 2^m
+# subsets; larger ground sets are refused.
 CHECK_CLASS_MAX_M = 20
 
 # Explicit tables get dense storage, so they share the same hard cap.
@@ -513,9 +513,10 @@ class FunctionClassReport:
 
     ``witness`` is the falsifying triple for the broadest class that failed
     (checked in the order binary-marginal, monotone, submodular, cancelable,
-    additive); ``witnesses`` keeps one triple per failed class.  ``method``
-    distinguishes a proven exhaustive verdict from a sampled one: a sampled
-    report only says "no counterexample found in the trials".
+    additive); ``witnesses`` keeps one triple per failed class.  Every flag
+    is proved: :func:`check_class` decides each class over the full value
+    table, and :func:`chorefair.instances.kind_report` decides a closed-form
+    kind's classes by rule.
     """
 
     binary_marginal: bool
@@ -524,7 +525,6 @@ class FunctionClassReport:
     cancelable: bool
     submodular: bool
     witnesses: dict[str, Witness]
-    method: str = "exhaustive"
 
     @property
     def witness(self) -> Witness | None:
@@ -546,7 +546,6 @@ class FunctionClassReport:
 
     def to_json(self) -> dict:
         out: dict = dict(self.flags())
-        out["method"] = self.method
         out["witnesses"] = {
             name: {"S": list(iter_items(s)), "T": list(iter_items(t)), "e": e}
             for name, (s, t, e) in self.witnesses.items()
@@ -555,7 +554,7 @@ class FunctionClassReport:
 
 
 def check_class(fn: CostFunction) -> FunctionClassReport:
-    """Exhaustively classify ``fn`` (m <= 20).
+    """Exhaustively classify ``fn``; :func:`value_table` refuses m > 20.
 
     Each class is decided independently over the full value table; the
     containment facts (additive functions are cancelable; binary-marginal
@@ -563,11 +562,6 @@ def check_class(fn: CostFunction) -> FunctionClassReport:
     and a defensive cross-check enforces them.
     """
     m = fn.m
-    if m > CHECK_CLASS_MAX_M:
-        raise UnsupportedSizeError(
-            f"exhaustive class check supports m <= {CHECK_CLASS_MAX_M}, got {m}; "
-            "use sample_class for larger ground sets"
-        )
     v = value_table(fn)
     witnesses: dict[str, Witness] = {}
 
@@ -736,67 +730,6 @@ def _check_submodular(m: int, v: np.ndarray, witnesses: dict[str, Witness]) -> b
     return True
 
 
-def _random_subset(rng: np.random.Generator, m: int) -> ItemSet:
-    mask = 0
-    for low in range(0, m, 62):
-        mask |= int(rng.integers(0, 1 << min(62, m - low))) << low
-    return mask
-
-
-def sample_class(fn: CostFunction, trials: int = 10_000, seed: int = 0) -> FunctionClassReport:
-    """Randomised class check for ground sets too large to enumerate.
-
-    Draws ``trials`` uniform (S, T, e) configurations per property.  A True
-    flag means no counterexample surfaced; the report is marked
-    ``method="sampled"`` to keep it distinct from a proven verdict.
-    Subsets are drawn in words of at most 62 bits, so any m works and
-    m <= 62 takes a single draw.
-    """
-    m = fn.m
-    rng = np.random.default_rng(seed)
-    witnesses: dict[str, Witness] = {}
-    binary = monotone = additive_ok = cancelable_ok = submodular_ok = True
-    if m > 0:
-        for _ in range(trials):
-            s = _random_subset(rng, m)
-            t = _random_subset(rng, m)
-            e = int(rng.integers(0, m))
-            bit = 1 << e
-            s_no = s & ~bit
-            step = fn.value(s_no | bit) - fn.value(s_no)
-            if monotone and step < 0:
-                witnesses["monotone"] = (s_no, s_no | bit, e)
-                monotone = False
-            if binary and step not in (0, 1):
-                witnesses["binary_marginal"] = (s_no, s_no | bit, e)
-                binary = False
-            if additive_ok and step != fn.value(bit):
-                witnesses["additive"] = (s_no, 0, e)
-                additive_ok = False
-            t_no = t & ~bit
-            t_step = fn.value(t_no | bit) - fn.value(t_no)
-            if cancelable_ok:
-                vs, vt = fn.value(s_no), fn.value(t_no)
-                if vs <= vt and vs + step > vt + t_step:
-                    witnesses["cancelable"] = (s_no, t_no, e)
-                    cancelable_ok = False
-            if submodular_ok:
-                small = s_no & t_no
-                big = (s_no | t_no) & ~bit
-                if fn.value(small | bit) - fn.value(small) < fn.value(big | bit) - fn.value(big):
-                    witnesses["submodular"] = (small, big, e)
-                    submodular_ok = False
-    return FunctionClassReport(
-        binary_marginal=binary,
-        monotone=monotone,
-        additive=additive_ok,
-        cancelable=cancelable_ok,
-        submodular=submodular_ok,
-        witnesses=witnesses,
-        method="sampled",
-    )
-
-
 __all__ = [
     "Additive",
     "CappedAdditive",
@@ -813,7 +746,6 @@ __all__ = [
     "marginal",
     "residual",
     "check_class",
-    "sample_class",
     "is_binary_marginal",
     "value_table",
     "CHECK_CLASS_MAX_M",

@@ -26,11 +26,14 @@ from .costs import (
     CappedAdditive,
     Cardinality,
     Descriptor,
+    FunctionClassReport,
     PartitionMatroidRank,
     Table,
     Threshold,
+    Witness,
 )
 from .errors import InvalidInputError, ParseError
+from .itemset import from_indices, iter_items
 
 CLASSES = ("additive", "cancelable", "submodular", "general")
 CLASS_RANK = {name: rank for rank, name in enumerate(CLASSES)}
@@ -95,6 +98,66 @@ def kind_guarantees(fn: Descriptor, cls: str) -> bool:
         return cls == "general" and fn.binary_marginal
     guaranteed = _KIND_CLASS.get(type(fn))
     return guaranteed is not None and CLASS_RANK[guaranteed] <= CLASS_RANK[cls]
+
+
+def kind_report(fn: Descriptor) -> FunctionClassReport:
+    """The class report of a closed-form kind, exact at every m and built
+    without evaluating a set.  Every kind is monotone with binary
+    marginals; a class its type guarantees holds, and a narrower one holds
+    or fails by its parameters, with one falsifying triple when it fails.
+    """
+    if type(fn) not in _KIND_CLASS:
+        raise InvalidInputError(f"{type(fn).__name__} is not a closed-form kind")
+    witnesses: dict[str, Witness] = {}
+    for cls in ("submodular", "cancelable", "additive"):
+        witness = None if kind_guarantees(fn, cls) else _kind_witness(fn, cls)
+        if witness is not None:
+            witnesses[cls] = witness
+    return FunctionClassReport(
+        binary_marginal=True,
+        monotone=True,
+        additive="additive" not in witnesses,
+        cancelable="cancelable" not in witnesses,
+        submodular="submodular" not in witnesses,
+        witnesses=witnesses,
+    )
+
+
+def _kind_witness(fn: Descriptor, cls: str) -> Witness | None:
+    """The triple that falsifies ``cls`` for a closed-form kind its type
+    does not place there, or None when its parameters do: a capped kind is
+    additive iff its cap is 0 or reaches its unit items, ``Threshold(k,
+    m)`` is in every class iff k = 0 or k >= m, and a partition matroid is
+    additive iff no group binds (0 < cap < |group|), and cancelable iff at
+    most one binds and, if one does, no group is free (cap >= |group| > 0).
+    """
+    if isinstance(fn, Threshold):
+        k = fn.k
+        if k == 0 or k >= fn.m:
+            return None
+        first = (1 << k) - 1
+        return {
+            "additive": (first, 0, k),
+            "cancelable": (first, first >> 1, k),
+            "submodular": (0, first, k),
+        }[cls]
+    if isinstance(fn, (CappedAdditive, Cardinality)):
+        units = list(iter_items(fn._ones)) if isinstance(fn, CappedAdditive) else range(fn.m)
+        if fn.cap == 0 or fn.cap >= len(units):
+            return None
+        return from_indices(units[: fn.cap]), 0, units[fn.cap]
+    binding = [(g, cap) for g, cap in zip(fn.groups, fn.capacities) if 0 < cap < len(g)]
+    free = next((g for g, cap in zip(fn.groups, fn.capacities) if cap >= len(g) > 0), None)
+    if not binding or (cls == "cancelable" and len(binding) == 1 and not free):
+        return None
+    g, cap = binding[0]
+    if cls == "additive":
+        return from_indices(g[:cap]), 0, g[cap]
+    if len(binding) > 1:
+        h, cap_h = binding[1]
+        s, t = g[:cap] + h[: cap_h - 1], g[: cap - 1] + h[:cap_h]
+        return from_indices(s), from_indices(t), h[cap_h]
+    return from_indices(g[: cap - 1] + free[:1]), from_indices(g[:cap]), g[cap]
 
 
 # The exhaustive test that proves a binary-marginal table narrower than
@@ -524,6 +587,7 @@ __all__ = [
     "BUILTIN_NAMES",
     "declaration_bound",
     "kind_guarantees",
+    "kind_report",
     "proves",
     "descriptor_to_json",
     "descriptor_from_json",

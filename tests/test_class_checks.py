@@ -1,6 +1,5 @@
 import random
 
-import numpy as np
 import pytest
 
 from chorefair.costs import (
@@ -13,11 +12,9 @@ from chorefair.costs import (
     check_class,
     evaluate,
     is_binary_marginal,
-    sample_class,
 )
-from chorefair.costs import _random_subset
-from chorefair.errors import UnsupportedSizeError, WrongClassError
-from chorefair.instances import CLASSES, Instance, builtin, kind_guarantees
+from chorefair.errors import InvalidInputError, UnsupportedSizeError, WrongClassError
+from chorefair.instances import CLASSES, Instance, builtin, kind_guarantees, kind_report
 from chorefair.itemset import size
 from chorefair.solvers import ensure_class, solve_auto
 from helpers import random_binary_table, random_monotone_table
@@ -34,7 +31,6 @@ def test_additive_function_has_every_structure_flag():
     }
     assert report.witnesses == {}
     assert report.witness is None
-    assert report.method == "exhaustive"
 
 
 def test_capped_function_is_cancelable_not_additive():
@@ -97,31 +93,36 @@ def test_partition_matroid_is_submodular():
     assert not report.additive
 
 
+def assert_falsifies(fn, name, witness):
+    """The witness (S, T, e) meets the violation condition of class ``name``."""
+    s, t, e = witness
+    bit = 1 << e
+    assert not (s | t) & bit
+    if name == "additive":
+        assert t == 0
+        assert evaluate(fn, s | bit) - evaluate(fn, s) != evaluate(fn, bit)
+    elif name == "cancelable":
+        assert evaluate(fn, s) <= evaluate(fn, t)
+        assert evaluate(fn, s | bit) > evaluate(fn, t | bit)
+    elif name == "submodular":
+        assert s & t == s and s != t
+        assert (
+            evaluate(fn, s | bit) - evaluate(fn, s)
+            < evaluate(fn, t | bit) - evaluate(fn, t)
+        )
+    else:
+        raise AssertionError(f"unexpected witness class {name}")
+
+
 def test_witness_replay_for_every_failed_class():
     rng = random.Random(11)
     checked = 0
     for _ in range(60):
         fn = random_binary_table(5, rng)
         report = check_class(fn)
-        for name, (s, t, e) in report.witnesses.items():
+        for name, witness in report.witnesses.items():
             checked += 1
-            bit = 1 << e
-            if name == "additive":
-                assert t == 0
-                assert (
-                    evaluate(fn, s | bit) - evaluate(fn, s) != evaluate(fn, bit)
-                )
-            elif name == "cancelable":
-                assert evaluate(fn, s) <= evaluate(fn, t)
-                assert evaluate(fn, s | bit) > evaluate(fn, t | bit)
-            elif name == "submodular":
-                assert s & t == s and s != t
-                assert (
-                    evaluate(fn, s | bit) - evaluate(fn, s)
-                    < evaluate(fn, t | bit) - evaluate(fn, t)
-                )
-            else:
-                raise AssertionError(f"unexpected witness class {name}")
+            assert_falsifies(fn, name, witness)
     assert checked > 0
 
 
@@ -137,35 +138,58 @@ def test_containments_on_random_binary_tables():
             assert report.submodular
 
 
-def test_sampled_reports_never_contradict_exhaustive_passes():
-    rng = random.Random(5)
-    for _ in range(20):
-        fn = random_binary_table(4, rng)
-        exhaustive = check_class(fn)
-        sampled = sample_class(fn, trials=3000, seed=1)
-        assert sampled.method == "sampled"
-        for name, flag in exhaustive.flags().items():
-            if flag:
-                assert sampled.flags()[name], name
+def _random_matroids(rng, count):
+    """Random partitions of up to 8 items, with caps from 0 to one past
+    each group's size."""
+    for _ in range(count):
+        m = rng.randint(1, 8)
+        groups = [[] for _ in range(rng.randint(1, m))]
+        for item in range(m):
+            rng.choice(groups).append(item)
+        groups = [tuple(g) for g in groups if g]
+        yield PartitionMatroidRank(tuple(groups), tuple(rng.randint(0, len(g) + 1) for g in groups))
 
 
-def test_sampling_finds_dense_witnesses():
-    sampled = sample_class(Cardinality(cap=1, m=6), trials=5000, seed=0)
-    assert not sampled.additive
-    assert sampled.cancelable and sampled.submodular
+def _closed_form_kinds():
+    rng = random.Random(17)
+    for m in range(11):
+        for k in range(m + 2):
+            yield Threshold(k=k, m=m)
+            yield Cardinality(cap=k, m=m)
+    for m in range(9):
+        for ones in range(1 << m):
+            unit = tuple(ones >> i & 1 for i in range(m))
+            for cap in range(m + 2):
+                yield CappedAdditive(unit, cap=cap)
+    for m in (9, 10) * 20:
+        yield CappedAdditive(tuple(rng.randint(0, 1) for _ in range(m)), cap=rng.randint(0, m + 1))
+    yield PartitionMatroidRank(((),), (0,))
+    # a cap-0 group beside a binding and a free one
+    yield PartitionMatroidRank(((0, 1, 2), (3, 4, 5), (6, 7)), (0, 1, 2))
+    for m in range(1, 9):
+        for cap in range(m + 2):
+            yield PartitionMatroidRank((tuple(range(m)),), (cap,))
+        yield PartitionMatroidRank(tuple((i,) for i in range(m)), tuple(i % 3 for i in range(m)))
+    yield from _random_matroids(rng, 400)
 
 
-def test_sampled_subsets_span_any_ground_set():
-    # up to 62 items a subset is one draw, as it always was
-    old, new = np.random.default_rng(3), np.random.default_rng(3)
-    for _ in range(5):
-        assert _random_subset(new, 40) == int(old.integers(0, 1 << 40))
-    rng = np.random.default_rng(0)
-    masks = [_random_subset(rng, 200) for _ in range(20)]
-    assert all(0 <= s < 1 << 200 for s in masks)
-    assert any(s >> 124 for s in masks)
-    sampled = sample_class(Cardinality(cap=3, m=200), trials=200)
-    assert sampled.cancelable and not sampled.additive
+def test_kind_report_matches_the_exhaustive_check():
+    """The closed-form rules agree with ``check_class`` on every flag, each
+    witness falsifies its class, and a class the kind's type guarantees
+    is always reported."""
+    matroid_verdicts = set()
+    for fn in _closed_form_kinds():
+        report = kind_report(fn)
+        assert report.flags() == check_class(fn).flags(), fn
+        for name, witness in report.witnesses.items():
+            assert_falsifies(fn, name, witness)
+        for cls in ("additive", "cancelable", "submodular"):
+            assert report.flags()[cls] or not kind_guarantees(fn, cls)
+        if isinstance(fn, PartitionMatroidRank):
+            matroid_verdicts.add((report.additive, report.cancelable))
+    assert matroid_verdicts == {(True, True), (False, True), (False, False)}
+    with pytest.raises(InvalidInputError):
+        kind_report(random_binary_table(2, random.Random(0)))
 
 
 def _gate_by_full_report(inst, required):

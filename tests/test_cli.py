@@ -12,8 +12,16 @@ from hypothesis import strategies as st
 
 from chorefair import cli, fairness
 from chorefair.cli import main
-from chorefair.costs import COST_MAX, Additive, Cardinality, Table
-from chorefair.instances import Instance, builtin, load_instance, serialize_instance
+from chorefair.costs import (
+    COST_MAX,
+    Additive,
+    CappedAdditive,
+    Cardinality,
+    PartitionMatroidRank,
+    Table,
+    Threshold,
+)
+from chorefair.instances import Instance, builtin, generate, load_instance, serialize_instance
 from helpers import cap7_pair
 
 
@@ -267,7 +275,46 @@ class TestCheckClass:
         code, payload, err = run_json(capsys, "check-class", "--input", path)
         assert code == 0
         assert payload["consistent"] is True
-        assert {a["method"] for a in payload["agents"]} == {"sampled"}
+        for agent in payload["agents"]:
+            assert agent["cancelable"] is True and agent["additive"] is False
+
+    def test_threshold_fails_every_narrow_class_past_twenty_items(self, capsys, tmp_path):
+        inst = Instance(n=1, m=30, agents=(Threshold(k=28, m=30),), declared_class="general")
+        path = write_instance(tmp_path, inst)
+        code, payload, err = run_json(capsys, "check-class", "--input", path)
+        assert code == 0 and payload["consistent"] is True
+        agent = payload["agents"][0]
+        assert not (agent["additive"] or agent["cancelable"] or agent["submodular"])
+        assert set(agent["witnesses"]) == {"additive", "cancelable", "submodular"}
+        code, out, err = run(capsys, "check-class", "--input", path)
+        assert out.splitlines()[:2] == [
+            "agent 0: binary_marginal=yes monotone=yes additive=no cancelable=no submodular=no",
+            "  witness against submodular: S={-} T={" + " ".join(map(str, range(28))) + "} e=28",
+        ]
+
+    def test_binding_cap_is_not_additive_past_twenty_items(self, capsys, tmp_path):
+        inst = Instance(n=1, m=30, agents=(CappedAdditive((1,) * 30, cap=29),),
+                        declared_class="cancelable")
+        path = write_instance(tmp_path, inst)
+        code, payload, err = run_json(capsys, "check-class", "--input", path)
+        assert code == 0 and payload["consistent"] is True
+        agent = payload["agents"][0]
+        assert agent["additive"] is False and agent["cancelable"] is True
+        assert agent["witnesses"]["additive"] == {"S": list(range(29)), "T": [], "e": 29}
+
+    def test_closed_form_kinds_are_classified_without_evaluating(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        path = write_instance(tmp_path, generate("partition_matroid", 3, 10_000, seed=0))
+
+        def refuse(self, *args):
+            raise AssertionError("a subset was evaluated")
+
+        monkeypatch.setattr(PartitionMatroidRank, "value", refuse)
+        monkeypatch.setattr(PartitionMatroidRank, "marginal", refuse)
+        code, payload, err = run_json(capsys, "check-class", "--input", path)
+        assert code == 0 and payload["consistent"] is True
+        assert all(agent["submodular"] for agent in payload["agents"])
 
     def test_contradicted_declaration(self, capsys, tmp_path):
         # an explicit table may declare itself additive, but these values
