@@ -213,7 +213,7 @@ class PartitionMatroidRank:
 class Threshold:
     """max(0, |S| - k): the first k items are free, the rest cost 1 each.
 
-    Marginals grow with the set, so this kind is not submodular for k >= 1.
+    Marginals grow with the set, so this kind is not submodular for 1 <= k < m.
     """
 
     k: int
@@ -586,16 +586,6 @@ def check_class(fn: CostFunction) -> FunctionClassReport:
     )
 
 
-def is_binary_marginal(fn: CostFunction) -> bool:
-    """Fast standalone check that all marginals of ``fn`` lie in {0, 1}."""
-    if isinstance(fn, Table):
-        return fn.binary_marginal
-    if isinstance(fn, (Additive, CappedAdditive, Cardinality, PartitionMatroidRank, Threshold)):
-        return True
-    v = value_table(fn)
-    return _check_marginals(fn.m, v, {})[0]
-
-
 def _low_mask(pos: int, e: int) -> int:
     """The mask at flat position ``pos`` of ``v.reshape(-1, 2, 1 << e)[:, 0]``:
     the pos-th set avoiding item e, in ascending order."""
@@ -746,7 +736,6 @@ __all__ = [
     "marginal",
     "residual",
     "check_class",
-    "is_binary_marginal",
     "value_table",
     "CHECK_CLASS_MAX_M",
     "TABLE_MAX_M",

@@ -2,9 +2,9 @@
 
 An instance is ``n`` agents, ``m`` items, one cost descriptor per agent and
 a declared function class.  The declared class is a promise the solvers
-rely on; it must be at least as broad as what the descriptor kinds already
-guarantee (an agent with a Threshold function cannot live in an instance
-declared additive).
+rely on; it must be at least as broad as the class each descriptor kind's
+parameters prove (an agent ``Threshold(k, m)`` with 0 < k < m cannot live in
+an instance declared narrower than general).
 
 All generators draw from ``numpy``'s PCG64 stream seeded through
 ``SeedSequence(seed)``, with one spawned child stream per agent, so a given
@@ -59,60 +59,67 @@ TABLE_FAMILY_MAX_M = 12
 # generate() refuses larger sizes before drawing anything (n * m values).
 GENERATE_MAX_N, GENERATE_MAX_M = 1_000, 10_000
 
-# The class each closed-form kind provably belongs to, by exact type:
-# capped and symmetric functions are cancelable but not additive in
-# general, matroid ranks are submodular, and thresholds have growing
-# marginals, which rules every narrower class out.
-_KIND_CLASS = {
-    Additive: "additive",
-    CappedAdditive: "cancelable",
-    Cardinality: "cancelable",
-    PartitionMatroidRank: "submodular",
-    Threshold: "general",
-}
+
+def kind_class(fn: Descriptor) -> str | None:
+    """The narrowest class a closed-form kind is in, decided by its
+    parameters, or None for a :class:`Table` or any other cost function.
+
+    Every kind is monotone with binary marginals.  A capped kind is
+    additive iff its cap is 0 or reaches its unit items, and cancelable
+    otherwise; ``Threshold(k, m)`` is additive iff k = 0 or k >= m, and
+    only general otherwise; a partition matroid is additive iff no group
+    binds (0 < cap < |group|), cancelable iff exactly one binds and no
+    group is free (cap >= |group| > 0), and submodular otherwise.
+    """
+    if isinstance(fn, Additive):
+        return "additive"
+    if isinstance(fn, Threshold):
+        return "additive" if fn.k == 0 or fn.k >= fn.m else "general"
+    if isinstance(fn, (CappedAdditive, Cardinality)):
+        units = fn._ones.bit_count() if isinstance(fn, CappedAdditive) else fn.m
+        return "additive" if fn.cap == 0 or fn.cap >= units else "cancelable"
+    if isinstance(fn, PartitionMatroidRank):
+        binding, free = _matroid_groups(fn)
+        if not binding:
+            return "additive"
+        return "cancelable" if len(binding) == 1 and free is None else "submodular"
+    return None
+
+
+def _matroid_groups(fn: PartitionMatroidRank) -> tuple[list, tuple | None]:
+    """The (group, cap) pairs that bind, and the first free group or None."""
+    pairs = list(zip(fn.groups, fn.capacities))
+    binding = [(g, cap) for g, cap in pairs if 0 < cap < len(g)]
+    return binding, next((g for g, cap in pairs if cap >= len(g) > 0), None)
 
 
 def declaration_bound(fn: Descriptor) -> str:
-    """Narrowest class an instance containing this kind may declare.
+    """Narrowest class an instance containing this agent may declare.
 
-    Closed-form kinds pin the declaration to what they provably are
-    (``_KIND_CLASS``); any other cost function proves nothing and may
-    only be declared general.  Explicit tables are unconstrained here; a
-    declaration naming a narrower class is a claim that solver gates
-    verify exhaustively on small ground sets.
+    A closed-form kind pins the declaration to its :func:`kind_class`;
+    any other cost function proves nothing and may only be declared
+    general.  Explicit tables are unconstrained here; a declaration
+    naming a narrower class is a claim that solver gates verify
+    exhaustively on small ground sets.
     """
     if isinstance(fn, Table):
         return "additive"
-    return _KIND_CLASS.get(type(fn), "general")
-
-
-def kind_guarantees(fn: Descriptor, cls: str) -> bool:
-    """True when the descriptor alone proves membership in ``cls``.
-
-    Classes are nested, so a kind guaranteeing a narrow class proves every
-    broader one; "general" here means monotone with binary marginals.  A
-    table guarantees "general" by its binary-marginal flag; a cost
-    function of no known kind guarantees nothing.
-    """
-    if isinstance(fn, Table):
-        return cls == "general" and fn.binary_marginal
-    guaranteed = _KIND_CLASS.get(type(fn))
-    return guaranteed is not None and CLASS_RANK[guaranteed] <= CLASS_RANK[cls]
+    return kind_class(fn) or "general"
 
 
 def kind_report(fn: Descriptor) -> FunctionClassReport:
     """The class report of a closed-form kind, exact at every m and built
-    without evaluating a set.  Every kind is monotone with binary
-    marginals; a class its type guarantees holds, and a narrower one holds
-    or fails by its parameters, with one falsifying triple when it fails.
+    without evaluating a set: every class its :func:`kind_class` nests in
+    holds, and each narrower one fails with one falsifying triple.
     """
-    if type(fn) not in _KIND_CLASS:
+    narrowest = kind_class(fn)
+    if narrowest is None:
         raise InvalidInputError(f"{type(fn).__name__} is not a closed-form kind")
-    witnesses: dict[str, Witness] = {}
-    for cls in ("submodular", "cancelable", "additive"):
-        witness = None if kind_guarantees(fn, cls) else _kind_witness(fn, cls)
-        if witness is not None:
-            witnesses[cls] = witness
+    witnesses = {
+        cls: _kind_witness(fn, cls)
+        for cls in ("submodular", "cancelable", "additive")
+        if CLASS_RANK[cls] < CLASS_RANK[narrowest]
+    }
     return FunctionClassReport(
         binary_marginal=True,
         monotone=True,
@@ -123,33 +130,20 @@ def kind_report(fn: Descriptor) -> FunctionClassReport:
     )
 
 
-def _kind_witness(fn: Descriptor, cls: str) -> Witness | None:
-    """The triple that falsifies ``cls`` for a closed-form kind its type
-    does not place there, or None when its parameters do: a capped kind is
-    additive iff its cap is 0 or reaches its unit items, ``Threshold(k,
-    m)`` is in every class iff k = 0 or k >= m, and a partition matroid is
-    additive iff no group binds (0 < cap < |group|), and cancelable iff at
-    most one binds and, if one does, no group is free (cap >= |group| > 0).
-    """
+def _kind_witness(fn: Descriptor, cls: str) -> Witness:
+    """The triple that falsifies ``cls`` for a closed-form kind whose
+    :func:`kind_class` lies outside it."""
     if isinstance(fn, Threshold):
-        k = fn.k
-        if k == 0 or k >= fn.m:
-            return None
-        first = (1 << k) - 1
+        first = (1 << fn.k) - 1
         return {
-            "additive": (first, 0, k),
-            "cancelable": (first, first >> 1, k),
-            "submodular": (0, first, k),
+            "additive": (first, 0, fn.k),
+            "cancelable": (first, first >> 1, fn.k),
+            "submodular": (0, first, fn.k),
         }[cls]
     if isinstance(fn, (CappedAdditive, Cardinality)):
         units = list(iter_items(fn._ones)) if isinstance(fn, CappedAdditive) else range(fn.m)
-        if fn.cap == 0 or fn.cap >= len(units):
-            return None
         return from_indices(units[: fn.cap]), 0, units[fn.cap]
-    binding = [(g, cap) for g, cap in zip(fn.groups, fn.capacities) if 0 < cap < len(g)]
-    free = next((g for g, cap in zip(fn.groups, fn.capacities) if cap >= len(g) > 0), None)
-    if not binding or (cls == "cancelable" and len(binding) == 1 and not free):
-        return None
+    binding, free = _matroid_groups(fn)
     g, cap = binding[0]
     if cls == "additive":
         return from_indices(g[:cap]), 0, g[cap]
@@ -173,17 +167,19 @@ def proves(fn: Descriptor, cls: str, witnesses: dict | None = None) -> bool:
     """True when ``fn`` provably belongs to ``cls``, binary marginals
     included: the one place that decides class membership.
 
-    A closed-form kind answers by :func:`kind_guarantees`.  A cost function
-    of no known kind proves only "general", by its marginals.  A
-    binary-marginal :class:`Table` proves a narrower class by that class's
-    exhaustive kernel; the table keeps each verdict and its witness, so a
-    (table, class) pair is tested once however often it is asked.  On a
-    failed kernel test the falsifying triple goes into ``witnesses[cls]``.
+    A closed-form kind answers by comparing its :func:`kind_class` with
+    ``cls``.  A cost function of no known kind proves only "general", by
+    the marginals of its value table.  A binary-marginal :class:`Table`
+    proves a narrower class by that class's exhaustive kernel; the table
+    keeps each verdict and its witness, so a (table, class) pair is tested
+    once however often it is asked.  On a failed kernel test the
+    falsifying triple goes into ``witnesses[cls]``.
     """
     if not isinstance(fn, Table):
-        if type(fn) in _KIND_CLASS:
-            return kind_guarantees(fn, cls)
-        return cls == "general" and costs.is_binary_marginal(fn)
+        narrowest = kind_class(fn)
+        if narrowest is not None:
+            return CLASS_RANK[narrowest] <= CLASS_RANK[cls]
+        return cls == "general" and costs._check_marginals(fn.m, costs.value_table(fn), {})[0]
     if cls == "general" or not fn.binary_marginal:
         return fn.binary_marginal
     verdict = fn._proofs.get(cls)
@@ -586,7 +582,7 @@ __all__ = [
     "GENERATOR_FAMILIES",
     "BUILTIN_NAMES",
     "declaration_bound",
-    "kind_guarantees",
+    "kind_class",
     "kind_report",
     "proves",
     "descriptor_to_json",

@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 
 from chorefair import fairness, reports
 from chorefair.cli import main
-from chorefair.costs import Cardinality, Table, Threshold, value_table
+from chorefair.costs import (
+    CappedAdditive,
+    Cardinality,
+    PartitionMatroidRank,
+    Table,
+    Threshold,
+    value_table,
+)
 from chorefair.errors import ChoreFairError, InternalInvariantError
 from chorefair.fairness import Allocation, is_po_bruteforce
 from chorefair.instances import (
@@ -156,6 +163,71 @@ def test_floor_decides_po_as_the_scan_does_on_a_seeded_sweep():
         owner = [rng.randrange(n) for _ in range(m)]
         verdicts.add(_floor_agrees_with_the_scan(n, m, k, owner, tables=k % 2 == 1))
     assert verdicts == {True, False}
+
+
+def _additive_by_parameter(m: int, rng: random.Random):
+    """A capped, threshold or matroid kind whose parameters make it binary
+    additive: no cap or threshold falls strictly inside its unit items,
+    and no matroid group binds."""
+    ones = tuple(rng.randint(0, 1) for _ in range(m))
+    owner = [rng.randrange(3) for _ in range(m)]
+    groups = [tuple(e for e in range(m) if owner[e] == g) for g in sorted(set(owner))]
+    groups = groups or [()]
+    return rng.choice(
+        (
+            CappedAdditive(ones, cap=rng.choice((0, sum(ones), m + 1))),
+            Cardinality(cap=rng.choice((0, m, m + 1)), m=m),
+            Threshold(k=rng.choice((0, m, m + 1)), m=m),
+            PartitionMatroidRank(tuple(groups), tuple(rng.choice((0, len(g))) for g in groups)),
+        )
+    )
+
+
+def test_floor_decides_po_as_the_scan_does_for_kinds_additive_by_parameter():
+    rng = random.Random(21)
+    verdicts = set()
+    for _ in range(300):
+        n, m = rng.randint(1, 4), rng.randint(0, 7)
+        agents = tuple(_additive_by_parameter(m, rng) for _ in range(n))
+        inst = Instance(n=n, m=m, agents=agents, declared_class="additive")
+        assert _binary_additive(inst) and inst.n**inst.m <= PO_SCAN_LIMIT
+        owner = [rng.randrange(n) for _ in range(m)]
+        bundles = tuple(sum(1 << e for e in range(m) if owner[e] == i) for i in range(n))
+        alloc = Allocation(n=n, m=m, bundles=bundles)
+        po = is_po_bruteforce(inst, alloc)[0]
+        checks = certify(inst, tagged(alloc, GuaranteeTag.EFX_AND_PO)).checks
+        assert checks["po"] == checks["minimal-social-cost"] == po
+        verdicts.add(po)
+    assert verdicts == {True, False}
+
+
+def test_capped_agents_with_caps_that_never_bind_get_po_from_the_floor():
+    # each cap reaches its agent's unit items, so both agents are additive;
+    # 2^21 allocations are past the scan, and the floor decides PO exactly
+    ones = tuple(e % 2 for e in range(21))
+    agents = (CappedAdditive(ones, cap=10), CappedAdditive((1,) * 21, cap=21))
+    inst = Instance(n=2, m=21, agents=agents, declared_class="additive")
+    assert inst.n**inst.m > PO_SCAN_LIMIT and _binary_additive(inst)
+    report = solve_auto(inst, verify=True)
+    assert report.guarantee is GuaranteeTag.EFX_AND_PO
+    cert = report.verification
+    assert cert.passed
+    assert cert.checks["minimal-social-cost"] is True and cert.checks["po"] is True
+    # handing agent 1 the even items, which agent 0 takes for free, pays
+    # 11 more than the floor: the "not PO" note is decided past the scan too
+    odd = sum(1 << e for e in range(21) if e % 2)
+    split = Allocation(n=2, m=21, bundles=(odd, ((1 << 21) - 1) ^ odd))
+    assert certify(inst, tagged(split, GuaranteeTag.EFX)).notes == ("not PO",)
+
+
+def test_one_binding_matroid_group_declared_cancelable_certifies_its_efx():
+    # one group binds, and none is free: cancelable, though not additive
+    matroid = PartitionMatroidRank(((0, 1, 2), (3, 4)), (2, 0))
+    inst = Instance(n=2, m=5, agents=(matroid, matroid), declared_class="cancelable")
+    report = solve_auto(inst, verify=True)
+    assert report.guarantee is GuaranteeTag.EFX
+    assert report.verification.passed
+    assert certify(inst, report).passed
 
 
 def test_only_proved_binary_additive_agents_skip_the_scan():

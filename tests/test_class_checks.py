@@ -11,10 +11,18 @@ from chorefair.costs import (
     Threshold,
     check_class,
     evaluate,
-    is_binary_marginal,
 )
 from chorefair.errors import InvalidInputError, UnsupportedSizeError, WrongClassError
-from chorefair.instances import CLASSES, Instance, builtin, kind_guarantees, kind_report
+from chorefair.instances import (
+    CLASS_RANK,
+    CLASSES,
+    Instance,
+    builtin,
+    declaration_bound,
+    kind_class,
+    kind_report,
+    proves,
+)
 from chorefair.itemset import size
 from chorefair.solvers import ensure_class, solve_auto
 from helpers import random_binary_table, random_monotone_table
@@ -80,7 +88,7 @@ def test_non_binary_table_flags():
     report = check_class(fn)
     assert not report.binary_marginal
     assert report.monotone
-    assert not is_binary_marginal(fn)
+    assert not proves(fn, "general")
     s, t, e = report.witnesses["binary_marginal"]
     assert t == s | (1 << e)
     assert evaluate(fn, t) - evaluate(fn, s) not in (0, 1)
@@ -175,16 +183,20 @@ def _closed_form_kinds():
 
 def test_kind_report_matches_the_exhaustive_check():
     """The closed-form rules agree with ``check_class`` on every flag, each
-    witness falsifies its class, and a class the kind's type guarantees
-    is always reported."""
+    witness falsifies its class, ``proves`` answers each class as the
+    exhaustive check does, and the declaration bound is the narrowest
+    class the exhaustive check flags."""
     matroid_verdicts = set()
     for fn in _closed_form_kinds():
         report = kind_report(fn)
-        assert report.flags() == check_class(fn).flags(), fn
+        flags = check_class(fn).flags()
+        assert report.flags() == flags, fn
         for name, witness in report.witnesses.items():
             assert_falsifies(fn, name, witness)
         for cls in ("additive", "cancelable", "submodular"):
-            assert report.flags()[cls] or not kind_guarantees(fn, cls)
+            assert proves(fn, cls) == flags[cls], (fn, cls)
+        narrowest = next(cls for cls in CLASSES if cls == "general" or flags[cls])
+        assert declaration_bound(fn) == narrowest, fn
         if isinstance(fn, PartitionMatroidRank):
             matroid_verdicts.add((report.additive, report.cancelable))
     assert matroid_verdicts == {(True, True), (False, True), (False, False)}
@@ -196,7 +208,8 @@ def _gate_by_full_report(inst, required):
     """The class gate's refusal as a full ``check_class`` report words it,
     or None; the gate itself decides only what it reads."""
     for i, fn in enumerate(inst.agents):
-        if kind_guarantees(fn, required):
+        narrowest = kind_class(fn)
+        if narrowest is not None and CLASS_RANK[narrowest] <= CLASS_RANK[required]:
             continue
         report = check_class(fn)
         if not report.binary_marginal:
@@ -269,7 +282,7 @@ def test_check_class_size_cap():
         check_class(Cardinality(cap=2, m=21))
 
 
-def test_is_binary_marginal_matches_report():
+def test_proves_general_matches_report():
     rng = random.Random(7)
     fns = [
         Additive((1, 0, 1)),
@@ -278,9 +291,11 @@ def test_is_binary_marginal_matches_report():
         Threshold(k=2, m=4),
         Table(m=2, values=(0, 2, 1, 2)),
         random_binary_table(4, rng),
+        _CappedCount(3),
+        _CappedCount(3, 2),
     ]
     for fn in fns:
-        assert is_binary_marginal(fn) == check_class(fn).binary_marginal
+        assert proves(fn, "general") == check_class(fn).binary_marginal
 
 
 def test_size_helper_counts_bits():

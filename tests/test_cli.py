@@ -689,7 +689,8 @@ def _monotone(m, steps):
     return vals
 
 
-# rank of the narrowest class each descriptor kind allows a declaration of
+# rank of each descriptor kind's type ceiling: the narrowest class that
+# every parameter choice of the kind allows a declaration of
 _KIND_CLASS = {"additive": 0, "capped_additive": 1, "cardinality": 1, "partition_matroid": 2}
 
 

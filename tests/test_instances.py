@@ -25,9 +25,10 @@ from chorefair.instances import (
     descriptor_to_json,
     generate,
     instance_to_json,
-    kind_guarantees,
+    kind_class,
     load_instance,
     parse_instance,
+    proves,
     serialize_instance,
 )
 from chorefair.itemset import full_set
@@ -36,31 +37,45 @@ from chorefair.itemset import full_set
 def test_declaration_bounds_per_kind():
     assert declaration_bound(Additive((1, 0))) == "additive"
     assert declaration_bound(Table(m=1, values=(0, 1))) == "additive"
+    # a cap below the unit items binds; one that reaches them, or 0, does not
     assert declaration_bound(CappedAdditive((1, 1), cap=1)) == "cancelable"
+    assert declaration_bound(CappedAdditive((1, 0), cap=1)) == "additive"
     assert declaration_bound(Cardinality(cap=1, m=2)) == "cancelable"
-    assert (
-        declaration_bound(PartitionMatroidRank(groups=((0, 1),), capacities=(1,)))
-        == "submodular"
-    )
+    assert declaration_bound(Cardinality(cap=2, m=2)) == "additive"
+    assert declaration_bound(Cardinality(cap=0, m=2)) == "additive"
+    # one binding group and no free one is cancelable; a second binding
+    # group, or a free one beside it, leaves only submodular
+    one = PartitionMatroidRank(groups=((0, 1),), capacities=(1,))
+    assert declaration_bound(one) == "cancelable"
+    two = PartitionMatroidRank(groups=((0, 1), (2, 3)), capacities=(1, 1))
+    assert declaration_bound(two) == "submodular"
+    free = PartitionMatroidRank(groups=((0, 1), (2, 3)), capacities=(1, 2))
+    assert declaration_bound(free) == "submodular"
+    assert declaration_bound(PartitionMatroidRank(((0, 1), (2,)), (2, 0))) == "additive"
     assert declaration_bound(Threshold(k=1, m=2)) == "general"
+    assert declaration_bound(Threshold(k=0, m=2)) == "additive"
+    assert declaration_bound(Threshold(k=2, m=2)) == "additive"
 
 
-def test_kind_guarantees_nesting():
+def test_kind_class_nesting():
     add = Additive((1, 0))
+    assert kind_class(add) == "additive"
     for cls in ("additive", "cancelable", "submodular", "general"):
-        assert kind_guarantees(add, cls)
+        assert proves(add, cls)
     card = Cardinality(cap=1, m=2)
-    assert not kind_guarantees(card, "additive")
-    assert kind_guarantees(card, "cancelable")
-    assert kind_guarantees(card, "general")
+    assert kind_class(card) == "cancelable"
+    assert not proves(card, "additive")
+    assert proves(card, "cancelable")
+    assert proves(card, "general")
     thr = Threshold(k=1, m=2)
-    assert not kind_guarantees(thr, "submodular")
-    assert kind_guarantees(thr, "general")
+    assert kind_class(thr) == "general"
+    assert not proves(thr, "submodular")
+    assert proves(thr, "general")
     binary_table = Table(m=1, values=(0, 1))
-    assert kind_guarantees(binary_table, "general")
-    assert not kind_guarantees(binary_table, "additive")
+    assert kind_class(binary_table) is None
+    assert proves(binary_table, "general")
     wide_table = Table(m=1, values=(0, 2))
-    assert not kind_guarantees(wide_table, "general")
+    assert not proves(wide_table, "general")
 
 
 def test_instance_validation():

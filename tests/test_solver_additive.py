@@ -1,12 +1,12 @@
 import pytest
 
-from chorefair.costs import Additive, Table
+from chorefair.costs import Additive, Cardinality, Table
 from chorefair.errors import InternalInvariantError, WrongClassError
 from chorefair.fairness import is_alpha_efx, is_po_bruteforce, social_cost
 from chorefair.instances import Instance, builtin, generate
 from chorefair.itemset import size
-from chorefair.reports import GuaranteeTag
-from chorefair.solvers import additive, partition_items, solve_additive
+from chorefair.reports import GuaranteeTag, certify
+from chorefair.solvers import additive, partition_items, solve_additive, solve_auto
 from chorefair.solvers.additive import ItemPartition
 from helpers import cap7_pair
 
@@ -55,6 +55,17 @@ def test_table_declared_additive_past_the_exhaustive_gate_is_refused():
     inst = Instance(n=2, m=13, agents=(doubled, ones), declared_class="additive")
     with pytest.raises(WrongClassError, match=r"agents\[0\] has marginals outside \{0, 1\}"):
         solve_additive(inst)
+
+
+def test_cardinality_that_never_binds_solves_as_additive():
+    # min(|S|, 3) on three items is |S|: proved additive by its cap
+    card = Cardinality(cap=3, m=3)
+    inst = Instance(n=2, m=3, agents=(card, card), declared_class="additive")
+    report = solve_auto(inst, verify=True)
+    assert report.algorithm == "additive"
+    assert report.guarantee is GuaranteeTag.EFX_AND_PO
+    assert report.verification.passed
+    assert certify(inst, report).passed
 
 
 def test_reassignment_regression():
