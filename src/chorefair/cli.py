@@ -25,7 +25,7 @@ from .fairness import (
     Allocation,
     CostMatrix,
     _as_alpha,
-    is_po_bruteforce,
+    _scan_size,
     social_cost,
 )
 from .instances import (
@@ -40,7 +40,7 @@ from .instances import (
 )
 from .itemset import iter_items
 from .oracle import SECTIONS, analyze, efx_exists_search
-from .reports import SolveReport
+from .reports import SolveReport, _pareto
 from .solvers import SOLVERS, solve_auto
 
 log = logging.getLogger("chorefair")
@@ -197,7 +197,9 @@ def _run_verify(args: argparse.Namespace) -> int:
     matrix = None  # every envy criterion is read off one price matrix
     for key, name, alpha in _parse_criteria(args.criteria):
         if name == "po":
-            ok, dominator = is_po_bruteforce(inst, alloc)
+            ok, dominator = _pareto(inst, alloc, DEFAULT_ENUMERATION_LIMIT)
+            if ok is None:  # unproved: refused as the scan refuses its size
+                _scan_size(inst, DEFAULT_ENUMERATION_LIMIT)
             entry = {"pass": ok}
             if dominator is not None:
                 entry["dominated_by"] = dominator.to_json()
@@ -446,8 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--criteria",
         default="ef,efx",
         help=(
-            "comma-separated: ef, efx, po, social-cost, alpha-ef:p/q, "
-            "alpha-efx:p/q (default ef,efx)"
+            "comma-separated: ef, efx, po, social-cost, alpha-ef:p/q, alpha-efx:p/q "
+            "(default ef,efx); po: the cost floor if proved binary additive, else a scan to 10^7"
         ),
     )
     _add_json(p)

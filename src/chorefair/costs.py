@@ -39,11 +39,8 @@ import numpy as np
 from .errors import InternalInvariantError, InvalidInputError, UnsupportedSizeError
 from .itemset import ItemSet, full_set, iter_items, size
 
-# Dense value tables, and so the exhaustive class check, walk all 2^m
-# subsets; larger ground sets are refused.
-CHECK_CLASS_MAX_M = 20
-
-# Explicit tables get dense storage, so they share the same hard cap.
+# Dense value tables, explicit tables among them, and so the exhaustive
+# class check, walk all 2^m subsets; larger ground sets are refused.
 TABLE_MAX_M = 20
 
 # The largest |value| a dense value table may hold: the int32 range, so
@@ -445,7 +442,7 @@ def residual(fn: CostFunction, base: ItemSet) -> ResidualView:
 # ---------------------------------------------------------------------------
 
 
-def value_table(fn: CostFunction, max_m: int = CHECK_CLASS_MAX_M) -> np.ndarray:
+def value_table(fn: CostFunction, max_m: int = TABLE_MAX_M) -> np.ndarray:
     """All 2^m values of ``fn`` as an int64 array indexed by subset mask.
 
     A :class:`Table` returns a read-only view of its own int64 buffer, with
@@ -737,7 +734,6 @@ __all__ = [
     "residual",
     "check_class",
     "value_table",
-    "CHECK_CLASS_MAX_M",
     "TABLE_MAX_M",
     "COST_MAX",
 ]

@@ -9,9 +9,9 @@ used by the coarser solvers are all read off it.  The checkers here build
 one fresh matrix per call; solvers keep one up to date as bundles change,
 and it prices other agents' entries of a grown bundle only when a reader
 needs more than the lower bound it keeps.
-Pareto optimality is decided by exhaustive comparison, on the one scan
-engine (size check, dense cost tables, blocks of ranks) that the oracle
-walks too.
+The exhaustive Pareto check, which ``reports._pareto`` falls back on,
+walks the one scan engine (size check, dense cost tables, blocks of
+ranks) that the oracle walks too.
 
 Costs are integers and alpha is an exact rational, so every comparison in
 this module is exact; no floats anywhere.
@@ -26,7 +26,7 @@ from typing import Iterator, NamedTuple, Protocol
 import numpy as np
 
 from . import itemset
-from .costs import CostFunction, _check_mask, evaluate, marginal, value_table
+from .costs import CostFunction, _check_mask, _first_non_int, evaluate, marginal, value_table
 from .errors import InternalInvariantError, InvalidInputError, UnsupportedSizeError
 from .instances import Instance
 from .itemset import ItemSet, full_set, iter_items
@@ -100,13 +100,18 @@ class Allocation:
 
     @classmethod
     def from_json(cls, obj: dict, n: int, m: int) -> "Allocation":
+        def items(name: str, value: object) -> ItemSet:
+            if isinstance(value, list) and _first_non_int(value) is None:  # no bools
+                return itemset.from_indices(value, m)
+            raise InvalidInputError(f"allocation.{name}: expected a list of integer items")
+
         if not isinstance(obj, dict) or "bundles" not in obj:
             raise InvalidInputError("allocation: expected an object with a 'bundles' field")
         bundles_json = obj["bundles"]
         if not isinstance(bundles_json, list):
             raise InvalidInputError("allocation.bundles: expected a list of lists")
-        bundles = tuple(itemset.from_indices(b, m) for b in bundles_json)
-        pool = itemset.from_indices(obj.get("unallocated", []), m)
+        bundles = tuple(items(f"bundles[{i}]", b) for i, b in enumerate(bundles_json))
+        pool = items("unallocated", obj.get("unallocated", []))
         return cls(n=n, m=m, bundles=bundles, unallocated=pool)
 
 
@@ -520,7 +525,7 @@ def is_po_bruteforce(
     alloc: Allocation,
     limit: int = DEFAULT_ENUMERATION_LIMIT,
 ) -> tuple[bool, Allocation | None]:
-    """Exhaustive Pareto check for complete allocations.
+    """Exhaustive Pareto check of a complete allocation; ``reports._pareto`` falls back on it.
 
     Scans every one of the n^m complete allocations for one that makes no
     agent worse off and some agent strictly better off.  Returns

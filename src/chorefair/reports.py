@@ -2,8 +2,9 @@
 
 One table, :data:`TAG_CHECKS`, says which properties a tag promises, and
 one pass over one price matrix re-proves them.  The solvers run it on the
-original cost functions before they return, and :func:`certify` runs it,
-Pareto optimality included, for anyone holding an instance and a report.
+original cost functions before they return, :func:`certify` runs it for
+anyone holding an instance and a report, and :func:`_pareto` alone decides
+Pareto optimality, for both and for the CLI's ``verify``.
 """
 
 from __future__ import annotations
@@ -13,13 +14,13 @@ from enum import Enum
 from typing import NamedTuple
 
 from . import fairness, oracle
+from .errors import InvalidInputError
 from .fairness import Allocation
 from .instances import Instance, proves
 from .itemset import size
 
-# Above this many complete allocations, Pareto optimality is not scanned
-# by brute force; unless the instance is proved binary additive, an efx+po
-# tag then fails its unproved ``po``.
+# Above this many complete allocations, a certificate does not scan for
+# Pareto optimality; unless the floor decides it, ``po`` fails unproved.
 PO_SCAN_LIMIT = 10**6
 
 
@@ -127,6 +128,29 @@ def _binary_additive(inst: Instance) -> bool:
     return all(proves(fn, "additive") for fn in inst.agents)
 
 
+def _pareto(inst: Instance, alloc: Allocation, limit: int) -> tuple[bool | None, Allocation | None]:
+    """PO of the complete ``alloc`` and a dominator if one is known, or
+    (None, None): proved binary additive agents are PO iff at the floor,
+    and above it the lowest item whose holder pays 1 moves to the lowest
+    agent paying 0 (one price falls, none rises); any others are scanned
+    if n^m <= ``limit``.  One agent is PO by either rule.
+    """
+    if not alloc.complete:
+        raise InvalidInputError("Pareto check requires a complete allocation")
+    if _binary_additive(inst):
+        if fairness.social_cost(inst, alloc) == _additive_floor(inst):
+            return True, None
+        pays = [[fairness.evaluate(fn, 1 << e) for fn in inst.agents] for e in range(inst.m)]
+        owner = [next(i for i, b in enumerate(alloc.bundles) if b >> e & 1) for e in range(inst.m)]
+        e = next(e for e in range(inst.m) if pays[e][owner[e]] > min(pays[e]))
+        owner[e] = pays[e].index(0)
+        return False, Allocation.from_assignment(inst.n, inst.m, owner)
+    if inst.n**inst.m <= limit:
+        # looked up at call time, so that a wrapper put on it sees the scan
+        return fairness.is_po_bruteforce(inst, alloc, limit)
+    return None, None
+
+
 def _prove(inst: Instance, alloc: Allocation, tag: GuaranteeTag, po_asked: bool) -> Certificate:
     """Re-prove every property ``tag`` promises for ``alloc``, in one pass:
     the envy properties off one uncounted :class:`CostMatrix`, the social
@@ -138,23 +162,16 @@ def _prove(inst: Instance, alloc: Allocation, tag: GuaranteeTag, po_asked: bool)
     matrix = fairness.CostMatrix(inst.agents, alloc.bundles)
     promise = TAG_CHECKS[tag]
     wants_po = po_asked and ("po" in promise.checks or promise.po_note)
-    by_floor = wants_po and _binary_additive(inst)
-    minimal = None
-    if by_floor or "minimal-social-cost" in promise.checks:
-        minimal = _minimal_social_cost(inst, alloc)
-    po: bool | None = None
-    if by_floor:
-        po = alloc.complete and minimal
-    elif wants_po and inst.n**inst.m <= PO_SCAN_LIMIT:
-        # looked up at call time, so that a wrapper put on it sees the scan
-        po = alloc.complete and fairness.is_po_bruteforce(inst, alloc)[0]
+    po = alloc.complete and _pareto(inst, alloc, PO_SCAN_LIMIT)[0] if wants_po else None
+    # binary additive: complete and PO iff at the floor, which ``po`` priced
+    floor_read = po is not None and alloc.complete and _binary_additive(inst)
     proofs = {
         "complete": lambda: alloc.complete,
         "ef": lambda: not matrix.ef_violations(1),
         "efx": matrix.is_efx,
         "2-ef": lambda: not matrix.ef_violations(2),
         "2-efx": lambda: not matrix.efx_violations(2),
-        "minimal-social-cost": lambda: minimal,
+        "minimal-social-cost": lambda: po if floor_read else _minimal_social_cost(inst, alloc),
         "leftover-at-most-n-minus-1": lambda: size(alloc.unallocated) <= inst.n - 1,
         "po": lambda: bool(po),
     }
@@ -167,13 +184,8 @@ def certify(inst: Instance, report: SolveReport) -> Certificate:
     """Re-prove every property the report's tag promises, from the instance
     and the allocation alone.
 
-    Pareto optimality is decided exactly from the additive floor when every
-    agent is proved binary additive, at every size: an allocation at the
-    floor has the least social cost, which any Pareto improvement would
-    lower, and one above it gives some item to an agent paying 1 for it
-    while another pays 0.  Otherwise it is scanned by brute force when n^m
-    <= PO_SCAN_LIMIT, and above that it is unproved: ``po`` fails, and no
-    "not PO" note is added.
+    Pareto optimality is decided by :func:`_pareto` up to PO_SCAN_LIMIT;
+    unproved, ``po`` fails and no "not PO" note is added.
     """
     return _prove(inst, report.allocation, report.guarantee, po_asked=True)
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from chorefair import fairness, reports
 from chorefair.cli import main
 from chorefair.costs import (
+    Additive,
     CappedAdditive,
     Cardinality,
     PartitionMatroidRank,
@@ -33,6 +34,7 @@ from chorefair.reports import (
     SolveReport,
     _additive_floor,
     _binary_additive,
+    _pareto,
     certify,
 )
 from chorefair.solvers import solve_auto
@@ -198,6 +200,58 @@ def test_floor_decides_po_as_the_scan_does_for_kinds_additive_by_parameter():
         checks = certify(inst, tagged(alloc, GuaranteeTag.EFX_AND_PO)).checks
         assert checks["po"] == checks["minimal-social-cost"] == po
         verdicts.add(po)
+    assert verdicts == {True, False}
+
+
+def test_pareto_decides_as_the_scan_does_and_names_a_one_move_dominator(tmp_path, capsys):
+    # all five kinds with parameters that make them additive, and Table
+    # copies of them: the floor decides PO with no scan, and CLI verify
+    # reads the same decision as certify
+    rng = random.Random(22)
+    verdicts = set()
+    for k in range(300):
+        n, m = rng.randint(2, 4), rng.randint(0, 7)
+        agents = []
+        for _ in range(n):
+            fn = _additive_by_parameter(m, rng)
+            if rng.random() < 0.2:
+                fn = Additive(tuple(rng.randint(0, 1) for _ in range(m)))
+            if rng.random() < 0.3:
+                fn = Table(m=m, values=tuple(int(x) for x in value_table(fn)))
+            agents.append(fn)
+        inst = Instance(n=n, m=m, agents=tuple(agents), declared_class="additive")
+        assert _binary_additive(inst)
+        alloc = Allocation.from_assignment(n, m, [rng.randrange(n) for _ in range(m)])
+        po, dominator = _pareto(inst, alloc, PO_SCAN_LIMIT)
+        assert po == is_po_bruteforce(inst, alloc)[0]
+        verdicts.add(po)
+        if po:
+            assert dominator is None
+        else:
+            # one item moves: two bundles change, by the same single item
+            changed = [a ^ b for a, b in zip(alloc.bundles, dominator.bundles) if a != b]
+            assert len(changed) == 2 and changed[0] == changed[1]
+            assert changed[0].bit_count() == 1
+            # the lowest item whose holder pays 1 and someone pays 0, to
+            # the lowest agent paying 0
+            pays = [[fairness.evaluate(fn, 1 << e) for fn in agents] for e in range(m)]
+            owner = [next(i for i, b in enumerate(alloc.bundles) if b >> e & 1) for e in range(m)]
+            item = min(e for e in range(m) if pays[e][owner[e]] == 1 and 0 in pays[e])
+            assert changed[0] == 1 << item and dominator.bundles[pays[item].index(0)] >> item & 1
+            before = [fairness.evaluate(fn, b) for fn, b in zip(agents, alloc.bundles)]
+            after = [fairness.evaluate(fn, b) for fn, b in zip(agents, dominator.bundles)]
+            assert all(a <= b for a, b in zip(after, before)) and after != before
+        cert = certify(inst, tagged(alloc, GuaranteeTag.EFX_AND_PO))
+        assert cert.checks["po"] == po
+        inst_path, alloc_path = tmp_path / "inst.json", tmp_path / "alloc.json"
+        inst_path.write_text(serialize_instance(inst))
+        alloc_path.write_text(json.dumps(alloc.to_json()))
+        argv = ["verify", "--input", str(inst_path), "--allocation", str(alloc_path)]
+        code = main(argv + ["--criteria", "po", "--json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == (0 if po else 1) and payload["criteria"]["po"]["pass"] == po
+        if not po:
+            assert payload["criteria"]["po"]["dominated_by"] == dominator.to_json()
     assert verdicts == {True, False}
 
 

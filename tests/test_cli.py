@@ -22,6 +22,8 @@ from chorefair.costs import (
     Threshold,
 )
 from chorefair.instances import Instance, builtin, generate, load_instance, serialize_instance
+from chorefair.reports import _additive_floor
+from chorefair.solvers import solve_auto
 from helpers import cap7_pair
 
 
@@ -242,6 +244,83 @@ class TestVerify:
             capsys, "verify", "--input", inst, "--allocation", str(bad)
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ({"bundles": [[0, 1], [2, "x"]]}, "bundles[1]"),
+            ({"bundles": [[0, 1], [2, 3.0]]}, "bundles[1]"),
+            ({"bundles": [[0, 1], [2, None]]}, "bundles[1]"),
+            ({"bundles": [[0, 1], [2, [3]]]}, "bundles[1]"),
+            ({"bundles": [[0, True], [2, 3]]}, "bundles[0]"),
+            ({"bundles": [[0, 1], 5]}, "bundles[1]"),
+            ({"bundles": [[0, 1], "23"]}, "bundles[1]"),
+            ({"bundles": [[0, 1], [2]], "unallocated": "3"}, "unallocated"),
+            ({"bundles": [[0, 1], [2]], "unallocated": 3}, "unallocated"),
+        ],
+    )
+    def test_damaged_allocation_items_are_refused_in_one_line(self, capsys, tmp_path, doc, field):
+        # JSON true is no item 1: every item must be an integer, bools refused
+        inst = write_instance(tmp_path, generate("cardinality", 2, 4, seed=0))
+        path = tmp_path / "alloc.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", "--input", inst, "--allocation", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: allocation.{field}: expected a list of integer items\n"
+
+    def test_po_of_proved_additive_agents_is_read_off_the_floor_at_any_size(
+        self, capsys, tmp_path
+    ):
+        # every cap reaches its agent's unit items, so every agent is proved
+        # additive; 3^40 allocations are far past the scan, and the floor
+        # decides PO: the solver's EFX allocation costs 3 against a floor of 2
+        inst = generate("capped_additive", 3, 40, seed=1, params={"cap": 40})
+        alloc = solve_auto(inst).allocation
+        assert fairness.social_cost(inst, alloc) == 3 and _additive_floor(inst) == 2
+        inst_path = write_instance(tmp_path, inst)
+        alloc_path = write_allocation(tmp_path, alloc.to_json()["bundles"])
+        argv = ["verify", "--input", inst_path, "--allocation", alloc_path]
+        code, payload, err = run_json(capsys, *argv, "--criteria", "po,social-cost")
+        assert (code, err) == (1, "")
+        assert payload["criteria"]["po"]["pass"] is False
+        dominator = fairness.Allocation.from_json(
+            payload["criteria"]["po"]["dominated_by"], inst.n, inst.m
+        )
+        before = [fairness.evaluate(fn, b) for fn, b in zip(inst.agents, alloc.bundles)]
+        after = [fairness.evaluate(fn, b) for fn, b in zip(inst.agents, dominator.bundles)]
+        assert all(a <= b for a, b in zip(after, before)) and after != before
+        # each item to the lowest agent taking it for free, else to agent 0
+        owners = [
+            next((i for i, fn in enumerate(inst.agents) if not fairness.evaluate(fn, 1 << e)), 0)
+            for e in range(inst.m)
+        ]
+        floor = fairness.Allocation.from_assignment(inst.n, inst.m, owners)
+        alloc_path = write_allocation(tmp_path, floor.to_json()["bundles"])
+        argv = ["verify", "--input", inst_path, "--allocation", alloc_path]
+        code, out, err = run(capsys, *argv, "--criteria", "po,social-cost")
+        assert (code, out, err) == (0, "po: pass\nsocial-cost: pass (value 2)\noverall: pass\n", "")
+
+    def test_po_of_an_incomplete_allocation_is_refused(self, capsys, tmp_path):
+        inst = write_instance(tmp_path, builtin("ternary-no-efxpo"))
+        alloc = write_allocation(tmp_path, [[0], [1]], unallocated=[2])
+        code, out, err = run(
+            capsys, "verify", "--input", inst, "--allocation", alloc, "--criteria", "po"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: Pareto check requires a complete allocation\n"
+
+    def test_po_past_the_scan_without_additivity_is_refused_by_size(self, capsys, tmp_path):
+        card = Cardinality(5, 15)
+        inst = Instance(n=3, m=15, agents=(card,) * 3, declared_class="cancelable")
+        inst_path = write_instance(tmp_path, inst)
+        alloc = write_allocation(tmp_path, [list(range(5)), list(range(5, 10)), list(range(10, 15))])
+        code, out, err = run(
+            capsys, "verify", "--input", inst_path, "--allocation", alloc, "--criteria", "po"
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: 3^15 = 14348907 complete allocations exceed the limit of 10000000\n"
+        )
 
 
 class TestCheckClass:
@@ -755,11 +834,16 @@ def _input_texts(draw):
         "bundles": [[e for e in range(m) if owner[e] == i] for i in range(n)],
         "unallocated": [e for e in range(m) if owner[e] == -1],
     }
-    damage = draw(st.integers(0, 9))  # 0-7: none
+    damage = draw(st.integers(0, 10))  # 0-7: none
     if damage == 8:
         alloc = draw(_JUNK)
     elif damage == 9:
         alloc["bundles"].append([draw(st.integers(-1, m))])
+    elif damage == 10:  # junk inside a bundle, or as the pool
+        if draw(st.booleans()):
+            alloc["bundles"][draw(st.integers(0, n - 1))].append(draw(_JUNK))
+        else:
+            alloc["unallocated"] = draw(_JUNK)
     return text, json.dumps(alloc)
 
 
