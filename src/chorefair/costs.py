@@ -16,14 +16,17 @@ Descriptors expose ``m`` (ground-set size), ``value(mask)`` and
 ``marginal(item, mask)``.  Every kind, and every residual view, answers
 ``marginal`` in closed form (a bit test, a count against a cap, or two
 table lookups) instead of pricing two sets; ``item`` must lie outside
-``mask``.  The methods trust their arguments.  Validation lives at the
-public boundary: the free functions :func:`evaluate`, :func:`marginal` and
-:func:`residual` range-check every mask and item, and so does every
-default ``CostMatrix``.  The solvers check the masks a caller hands them
-once, at their entry points, and then ask the unchecked methods through
-their op counter.  :func:`marginal` also accepts any ``CostFunction``
-protocol object: one without a ``marginal`` method is answered by the
-value difference c(S + e) - c(S).
+``mask``.  Descriptors and views also answer a whole scan in one call,
+``free_items`` and ``free_drops`` (a ``Table`` by one buffer read per
+item; see :func:`_free_items`, which falls back to scalar marginals for a
+protocol object).  The methods trust their arguments.
+Validation lives at the public boundary: the free functions
+:func:`evaluate`, :func:`marginal` and :func:`residual` range-check every
+mask and item, and so does every default ``CostMatrix``.  The solvers
+check the masks a caller hands them once, at their entry points, and then
+ask the unchecked methods through their op counter.  :func:`marginal`
+also accepts any ``CostFunction`` protocol object: one without a
+``marginal`` method is answered by the value difference c(S + e) - c(S).
 """
 
 from __future__ import annotations
@@ -98,6 +101,12 @@ class Additive:
     def marginal(self, item: int, mask: ItemSet) -> int:
         return self._ones >> item & 1
 
+    def free_items(self, mask: ItemSet, pool: ItemSet) -> ItemSet:
+        return pool & ~self._ones
+
+    def free_drops(self, mask: ItemSet) -> ItemSet:
+        return mask & ~self._ones
+
 
 @dataclass(frozen=True)
 class CappedAdditive:
@@ -123,6 +132,12 @@ class CappedAdditive:
     def marginal(self, item: int, mask: ItemSet) -> int:
         return 1 if self._ones >> item & 1 and (mask & self._ones).bit_count() < self.cap else 0
 
+    def free_items(self, mask: ItemSet, pool: ItemSet) -> ItemSet:
+        return pool & ~self._ones if (mask & self._ones).bit_count() < self.cap else pool
+
+    def free_drops(self, mask: ItemSet) -> ItemSet:
+        return mask if (mask & self._ones).bit_count() > self.cap else mask & ~self._ones
+
 
 @dataclass(frozen=True)
 class Cardinality:
@@ -143,6 +158,12 @@ class Cardinality:
 
     def marginal(self, item: int, mask: ItemSet) -> int:
         return 1 if mask.bit_count() < self.cap else 0
+
+    def free_items(self, mask: ItemSet, pool: ItemSet) -> ItemSet:
+        return 0 if mask.bit_count() < self.cap else pool
+
+    def free_drops(self, mask: ItemSet) -> ItemSet:
+        return mask if mask.bit_count() > self.cap else 0
 
 
 @dataclass(frozen=True)
@@ -205,6 +226,14 @@ class PartitionMatroidRank:
         g = self._group_of[item]
         return 1 if (mask & self._group_masks[g]).bit_count() < self.capacities[g] else 0
 
+    def free_items(self, mask: ItemSet, pool: ItemSet) -> ItemSet:
+        caps = zip(self._group_masks, self.capacities)
+        return pool & sum([g for g, cap in caps if (mask & g).bit_count() >= cap])
+
+    def free_drops(self, mask: ItemSet) -> ItemSet:
+        caps = zip(self._group_masks, self.capacities)
+        return mask & sum([g for g, cap in caps if (mask & g).bit_count() > cap])
+
 
 @dataclass(frozen=True)
 class Threshold:
@@ -227,6 +256,12 @@ class Threshold:
 
     def marginal(self, item: int, mask: ItemSet) -> int:
         return 1 if mask.bit_count() >= self.k else 0
+
+    def free_items(self, mask: ItemSet, pool: ItemSet) -> ItemSet:
+        return pool if mask.bit_count() < self.k else 0
+
+    def free_drops(self, mask: ItemSet) -> ItemSet:
+        return mask if mask.bit_count() <= self.k else 0
 
 
 def _first_non_int(values: Sequence) -> int | None:
@@ -338,6 +373,20 @@ class Table:
         values = self._values
         return values[mask | 1 << item] - values[mask]
 
+    def free_items(self, mask: ItemSet, pool: ItemSet) -> ItemSet:
+        # mask ^ e is mask + e for e outside mask, and mask - e inside it
+        values, free = self._values, 0
+        here = values[mask]
+        while pool:
+            low = pool & -pool
+            if values[mask ^ low] == here:
+                free |= low
+            pool ^= low
+        return free
+
+    def free_drops(self, mask: ItemSet) -> ItemSet:
+        return self.free_items(mask, mask)
+
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -359,6 +408,7 @@ class Table:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
+_KINDS = (Additive, CappedAdditive, Cardinality, PartitionMatroidRank, Threshold)
 Descriptor = Additive | CappedAdditive | Cardinality | PartitionMatroidRank | Threshold | Table
 
 
@@ -399,6 +449,12 @@ class ResidualView:
             )
         return self._step(item, mask | self.base)
 
+    def free_items(self, mask: ItemSet, pool: ItemSet) -> ItemSet:
+        return _free_items(self.fn, mask | self.base, pool)
+
+    def free_drops(self, mask: ItemSet) -> ItemSet:
+        return _free_drops(self.fn, mask | self.base) & mask
+
     def __repr__(self) -> str:
         return f"ResidualView({self.fn!r}, base={bin(self.base)})"
 
@@ -430,6 +486,30 @@ def _marginal(fn: CostFunction, item: int, mask: ItemSet) -> int:
     if closed_form is None:
         return fn.value(mask | 1 << item) - fn.value(mask)
     return closed_form(item, mask)
+
+
+def _free_items(fn: CostFunction, mask: ItemSet, pool: ItemSet) -> ItemSet:
+    """Unchecked: the e in ``pool`` with c(mask + e) = c(mask), in one call
+    where ``fn`` has the set-level form, else by scalar marginals."""
+    if (closed_form := getattr(fn, "free_items", None)) is not None:
+        return closed_form(mask, pool)
+    return sum(1 << e for e in iter_items(pool) if _marginal(fn, e, mask) == 0)
+
+
+def _free_drops(fn: CostFunction, mask: ItemSet) -> ItemSet:
+    """Unchecked: the e in ``mask`` with c(mask - e) = c(mask), likewise."""
+    if (closed_form := getattr(fn, "free_drops", None)) is not None:
+        return closed_form(mask)
+    return sum(1 << e for e in iter_items(mask) if _marginal(fn, e, mask ^ 1 << e) == 0)
+
+
+def _least_drop(fn: CostFunction, mask: ItemSet) -> int:
+    """Unchecked min over e in ``mask`` of c(mask) - c(mask - e); for a kind,
+    a binary table or a view over one (steps 0 or 1), 0 iff a drop is free."""
+    base = fn.fn if isinstance(fn, ResidualView) else fn
+    if isinstance(base, _KINDS) or isinstance(base, Table) and base.binary_marginal:
+        return 0 if _free_drops(fn, mask) else 1
+    return min(_marginal(fn, e, mask ^ 1 << e) for e in iter_items(mask))
 
 
 def residual(fn: CostFunction, base: ItemSet) -> ResidualView:

@@ -27,6 +27,7 @@ import numpy as np
 
 from . import itemset
 from .costs import CostFunction, _check_mask, _first_non_int, evaluate, marginal, value_table
+from .costs import _least_drop
 from .errors import InternalInvariantError, InvalidInputError, UnsupportedSizeError
 from .instances import Instance
 from .itemset import ItemSet, full_set, iter_items
@@ -177,11 +178,13 @@ class Queries(Protocol):
 
     def marginal(self, fn: CostFunction, item: int, mask: ItemSet) -> int: ...
 
+    def least_drop(self, fn: CostFunction, mask: ItemSet) -> int: ...
+
 
 class _CheckedQueries:
-    """The default queries: this module's validated ``evaluate`` and
-    ``marginal``, looked up per call.  A grown set out of range gets the
-    message a whole-set price gives it."""
+    """The default queries, range-checked: this module's ``evaluate`` and
+    ``marginal``, looked up per call, and ``least_drop``.  A grown set out
+    of range gets the message a whole-set price gives it."""
 
     @staticmethod
     def evaluate(fn: CostFunction, mask: ItemSet) -> int:
@@ -192,6 +195,11 @@ class _CheckedQueries:
         _check_mask(fn.m, mask | 1 << item)
         return marginal(fn, item, mask)
 
+    @staticmethod
+    def least_drop(fn: CostFunction, mask: ItemSet) -> int:
+        _check_mask(fn.m, mask)
+        return _least_drop(fn, mask)
+
 
 class CostMatrix:
     """Every agent's price for every bundle, kept current as bundles change.
@@ -201,17 +209,16 @@ class CostMatrix:
     is max over e in X_i of c_i(X_i - e), the highest price agent i can be
     left with after giving up one item; it is queried on first read and
     cached until X_i changes, unless ``update`` can derive it (below).
-    Each item's drop is read as c_i(X_i) - marginal_i(e, X_i - e), one
-    closed-form marginal instead of a whole-set price.  Envy-freeness,
-    removal stability and the equality envy graph are all read off these
-    numbers.
+    It is read as c_i(X_i) less ``least_drop``, min over e of
+    marginal_i(e, X_i - e), in one set-level call.  Envy-freeness, removal
+    stability and the equality envy graph are all read off these numbers.
 
-    ``ops`` answers the queries: an object with ``evaluate(fn, mask)`` and
-    ``marginal(fn, item, mask)``, such as a solver's counting, unchecked
-    ``OpCounter``, whose caller has validated its masks.  By default they
-    are this module's ``evaluate`` and ``marginal``, which range-check every
-    mask and item.  Either way the two names are resolved per call, so a
-    wrapper installed on them afterwards still sees every query.
+    ``ops`` answers the queries: an object with ``evaluate(fn, mask)``,
+    ``marginal(fn, item, mask)`` and ``least_drop(fn, mask)``, such as a
+    solver's counting, unchecked ``OpCounter``, whose caller has validated
+    its masks.  By default they are ``_CheckedQueries``, which range-check
+    every mask and item.  Either way ``evaluate`` and ``marginal`` are
+    resolved per call, so a wrapper installed on them still sees them.
 
     Other agents' entries are priced on read.  When ``update`` grows bundle
     j, the owner's price is handed over or asked, and every other row the
@@ -227,16 +234,18 @@ class CostMatrix:
     so if the matrix was removal-stable when ``changed`` was cleared,
     ``is_efx(changed)`` is the full verdict.
 
-    Every cost function is taken to be monotone (``costs`` builds each
-    descriptor kind that way and ``Table`` refuses anything else), and the
-    bounds rely on it, as does ``update`` here: when bundle j grows to a
-    strict superset and its owner's price stays the same, the worst drop is
-    that price, with no query.  Dropping an added item leaves a superset of
+    Every cost function is taken to be monotone and to price the empty set
+    at 0 (``costs`` builds each descriptor kind that way, and ``Table`` and
+    ``Instance`` refuse anything else), so an empty bundle is priced 0
+    unasked.  The bounds rely on monotonicity, as does ``update``: when
+    bundle j grows to a strict superset and its owner's price stays the
+    same, the worst drop is that price, with no query.  Dropping an added item leaves a superset of
     the old bundle, priced at least the old (equal) price, and no drop can
     exceed the bundle's own price.
     """
 
-    __slots__ = ("funcs", "bundles", "cost", "changed", "_evaluate", "_marginal", "_drop", "_stale")
+    __slots__ = ("funcs", "bundles", "cost", "changed", "_evaluate", "_marginal", "_least_drop",
+                 "_drop", "_stale")
 
     def __init__(
         self,
@@ -250,7 +259,8 @@ class CostMatrix:
         self.bundles = list(bundles)
         ops = _CheckedQueries if ops is None else ops
         self._evaluate, self._marginal = ops.evaluate, ops.marginal
-        self.cost = [[self._evaluate(fn, b) for b in self.bundles] for fn in self.funcs]
+        self._least_drop = ops.least_drop
+        self.cost = [[self._evaluate(fn, b) if b else 0 for b in self.bundles] for fn in self.funcs]
         self._drop: list[int | None] = [None] * len(self.bundles)
         self.changed = full_set(len(self.bundles))
         # per column, a bitmask of the rows whose entry is a lower bound
@@ -305,7 +315,7 @@ class CostMatrix:
     def worst_drop(self, i: int) -> int:
         """max over e in X_i of c_i(X_i - e); X_i must be non-empty."""
         if self._drop[i] is None:
-            self._drop[i] = max(c for _, c in self._item_drops(i))
+            self._drop[i] = self.cost[i][i] - self._least_drop(self.funcs[i], self.bundles[i])
         return self._drop[i]
 
     def _reaches(self, i: int, limit: int) -> bool:
@@ -385,7 +395,10 @@ class CostMatrix:
             got > want if self._stale[j] >> k & 1 else got != want
             for k, (mine, theirs) in enumerate(zip(self.cost, fresh.cost))
             for j, (got, want) in enumerate(zip(mine, theirs))
-        ) or any(d is not None and d != fresh.worst_drop(i) for i, d in enumerate(self._drop)):
+        ) or any(
+            d is not None and d != max(c for _, c in fresh._item_drops(i))
+            for i, d in enumerate(self._drop)
+        ):
             raise InternalInvariantError(
                 "incrementally maintained cost matrix drifted from a fresh build"
             )

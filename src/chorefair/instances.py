@@ -213,6 +213,9 @@ class Instance:
                 raise InvalidInputError(
                     f"agents[{i}] has ground-set size {fn.m}, instance has m={self.m}"
                 )
+            # kinds and tables price ∅ at 0 by construction, with no query
+            if not isinstance(fn, (Table, *costs._KINDS)) and (empty := fn.value(0)) != 0:
+                raise InvalidInputError(f"agents[{i}] prices the empty set at {empty}, not 0")
         if self.declared_class not in CLASSES:
             raise InvalidInputError(
                 f"declared_class must be one of {CLASSES}, got {self.declared_class!r}"

@@ -11,12 +11,14 @@ costly item, which no complete allocation can beat.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
+from ..costs import _free_items as free_items
 from ..errors import InternalInvariantError
 from ..fairness import CostMatrix
 from ..instances import Instance
-from ..itemset import ItemSet, full_set, iter_items
+from ..itemset import ItemSet, full_set, iter_items, lowest, size
 from ..reports import GuaranteeTag, SolveReport
 from .common import OpCounter, Trace, ensure_class, finish
 
@@ -40,13 +42,12 @@ def partition_items(inst: Instance) -> ItemPartition:
 
 
 def _partition(inst: Instance, ops: OpCounter) -> tuple[ItemPartition, dict[int, int]]:
-    """The split, plus each free item's lowest-index zero-cost agent."""
-    holder: dict[int, int] = {}
-    for e in range(inst.m):
-        i = next((i for i, fn in enumerate(inst.agents) if ops.marginal(fn, e, 0) == 0), None)
-        if i is not None:
-            holder[e] = i
-    zero = sum(1 << e for e in holder)
+    """The split, plus each free item's lowest-index zero-cost agent; each
+    item is charged the agents a scan asks up to that one."""
+    free = [free_items(fn, 0, full_set(inst.m)) for fn in inst.agents]
+    zero = functools.reduce(int.__or__, free, 0)
+    holder = {e: next(i for i, f in enumerate(free) if f >> e & 1) for e in iter_items(zero)}
+    ops.charge(sum(holder.values()) + len(holder) + inst.n * (inst.m - len(holder)))
     return ItemPartition(m_zero=zero, m_plus=full_set(inst.m) & ~zero), holder
 
 
@@ -121,18 +122,17 @@ def solve_additive(
             tr.emit("reassign", round=counters["rounds"], item=e, agent=j, source=i_star)
             # pull back whatever the placing agent can carry for free;
             # singleton costs do not move, so one pass settles it
-            for f in iter_items(theirs):
-                if ops.marginal(fi, f, 0) == 0:
-                    theirs &= ~(1 << f)
-                    mine |= 1 << f
-                    counters["dragged_items"] += 1
-                    tr.emit("pull-back", round=counters["rounds"], item=f, agent=i_star)
-            for f in iter_items(theirs):
-                if ops.marginal(fi, f, 0) == 0:
-                    raise InternalInvariantError(
-                        f"item {f} stayed with agent {j} although agent {i_star} "
-                        "carries it for free"
-                    )
+            drag = free_items(fi, 0, theirs)
+            for f in iter_items(drag):
+                counters["dragged_items"] += 1
+                tr.emit("pull-back", round=counters["rounds"], item=f, agent=i_star)
+            theirs, mine = theirs & ~drag, mine | drag
+            ops.charge(size(theirs | drag) + size(theirs))  # the pass and its re-check
+            if stay := free_items(fi, 0, theirs):
+                raise InternalInvariantError(
+                    f"item {lowest(stay)} stayed with agent {j} although agent "
+                    f"{i_star} carries it for free"
+                )
             matrix.update(i_star, mine)
             matrix.update(j, theirs)
         if debug:

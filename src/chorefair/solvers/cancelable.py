@@ -36,6 +36,7 @@ def phase1(
     *,
     ops: OpCounter | None = None,
     tr: Trace | None = None,
+    debug: bool = False,
 ) -> Phase1Result:
     """Batch out unit-marginal items until fewer than n of them remain.
 
@@ -52,7 +53,7 @@ def phase1(
     pool = full_set(inst.m)
     rounds = 0
     while True:
-        picked = list(islice(unit_to_all(ops, inst.agents, bundles, pool), n))
+        picked = list(islice(unit_to_all(ops, inst.agents, bundles, pool, debug), n))
         if len(picked) < n:
             break
         rounds += 1
@@ -129,7 +130,7 @@ def phase2(
         check_items(v.m, [remaining])
     m_total = max((v.m for v in views), default=0)
 
-    unit_items = list(unit_to_all(ops, views, [0] * n, remaining))
+    unit_items = list(unit_to_all(ops, views, [0] * n, remaining, debug))
     if len(unit_items) >= n:
         raise InternalInvariantError(
             f"{len(unit_items)} universally unit-cost items for {n} agents; the "
@@ -245,12 +246,12 @@ def solve_cancelable(
     The output is re-checked against the original cost functions on every
     run.  The per-iteration invariants of phase 2 are always on because
     they double as the runtime guard against mis-declared inputs;
-    ``debug`` adds phase 2's cost-matrix cross-check.
+    ``debug`` adds phase 2's cross-checks and replays every set-level read.
     """
     ensure_class(inst, "cancelable")
     ops = OpCounter()
     tr = Trace(trace)
-    p1 = phase1(inst, ops=ops, tr=tr)
+    p1 = phase1(inst, ops=ops, tr=tr, debug=debug)
     views = [
         residual(fn, base) if base else fn
         for fn, base in zip(inst.agents, p1.base_bundles)

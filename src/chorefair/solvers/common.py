@@ -5,12 +5,12 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from ..costs import CostFunction, _check_mask
+from ..costs import CostFunction, _check_mask, _free_items, _least_drop
 from ..costs import _marginal as marginal
 from ..errors import InternalInvariantError, InvalidInputError, WrongClassError
 from ..fairness import Allocation
 from ..instances import CLASS_RANK, Instance, proves
-from ..itemset import ItemSet, iter_items
+from ..itemset import ItemSet, iter_items, size
 from ..reports import GuaranteeTag, SolveReport, _prove
 
 # Ground sets at most this large get their declared class verified
@@ -119,18 +119,31 @@ def check_items(m: int, masks: Iterable[ItemSet]) -> None:
         seen |= mask
 
 
-def unit_to_all(ops: OpCounter, funcs: Sequence, bases: Sequence, pool: ItemSet) -> Iterator[int]:
+def unit_to_all(
+    ops: OpCounter, funcs: Sequence, bases: Sequence, pool: ItemSet, debug: bool = False
+) -> Iterator[int]:
     """Yield, in index order, the items of ``pool`` that every agent prices
-    at 1 on top of her base.  An agent who refused two items in a row is
-    asked first until another does: she tends to refuse the next item too,
-    and the order changes no verdict.  (Switching after one refusal costs
-    an extra query whenever she accepts an item a lower agent refuses.)"""
+    at 1 on top of her base, from one set of free items per agent, each
+    charged as the paper's scan asks it: one agent, then the others in
+    index order up to the first who refuses it.  An agent who refused two
+    items in a row is asked first until another does: she tends to refuse
+    the next item too, and the order changes no verdict.  (Switching after
+    one refusal costs an extra query whenever she accepts an item a lower
+    agent refuses.)  ``debug`` replays the scan uncounted."""
+    n = len(funcs)
+    free = [_free_items(fn, base, pool) for fn, base in zip(funcs, bases)]
     first, last = 0, None
     for e in iter_items(pool):
-        refuser = first
-        if ops.marginal(funcs[first], e, bases[first]) == 1:
-            others = (i for i in range(len(funcs)) if i != first)
-            refuser = next((i for i in others if ops.marginal(funcs[i], e, bases[i]) != 1), None)
+        bit = 1 << e
+        refuser = first if free[first] & bit else next((i for i in range(n) if free[i] & bit), None)
+        asked = 1 if refuser == first else n if refuser is None else refuser + 2 - (first < refuser)
+        ops.charge(asked)
+        if debug:
+            order = [first, *(i for i in range(n) if i != first)]
+            steps = (marginal(funcs[i], e, bases[i]) for i in order)
+            k = next((k for k, step in enumerate(steps) if step != 1), n)
+            if (order[k] if k < n else None, min(k + 1, n)) != (refuser, asked):
+                raise InternalInvariantError(f"item {e}: the free sets and the scan disagree")
         if refuser is None:
             yield e
         elif refuser == last:
@@ -144,12 +157,14 @@ def evaluate(fn: CostFunction, mask: ItemSet) -> int:
 
 
 class OpCounter:
-    """Counts cost-oracle queries, the unit reported by the benchmarks.
+    """Counts cost-oracle queries in the paper's item-by-item model, the
+    unit reported by the benchmarks.
 
-    Both methods call this module's unchecked ``evaluate`` and ``marginal``
-    (the closed form, or the value difference for a protocol object without
-    one), looked up per call so that a wrapper put on those names afterwards
-    still sees every counted query.  Masks are the caller's to validate.
+    ``evaluate`` and ``marginal`` call this module's unchecked functions of
+    the same names (the closed form, or the value difference for a protocol
+    object without one), looked up per call so that a wrapper put on those
+    names still sees them.  Set-level reads (``charge``, ``least_drop``)
+    count what their scans ask.  Masks are the caller's to validate.
     """
 
     __slots__ = ("evals",)
@@ -164,6 +179,13 @@ class OpCounter:
     def marginal(self, fn: CostFunction, item: int, mask: ItemSet) -> int:
         self.evals += 1
         return marginal(fn, item, mask)
+
+    def charge(self, k: int) -> None:
+        self.evals += k
+
+    def least_drop(self, fn: CostFunction, mask: ItemSet) -> int:
+        self.evals += size(mask)
+        return _least_drop(fn, mask)
 
 
 __all__ = ["VERIFY_MAX_M", "ensure_class", "finish", "check_items", "Trace", "OpCounter"]

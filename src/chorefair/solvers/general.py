@@ -12,6 +12,7 @@ leaving at most n-1 items over.
 
 from __future__ import annotations
 
+from ..costs import _free_items as free_items
 from ..costs import marginal
 from ..errors import InternalInvariantError
 from ..fairness import CostMatrix, find_cycle_through_edge, tail_scc
@@ -56,14 +57,14 @@ def run_envy_loop(
     bundle is priced for its owner, and for another agent only when the
     graph needs more than the entry's lower bound.
 
-    Marginal queries are memoised per call: ``unit[(i, B)]`` holds the
-    items whose marginal for agent i on bundle B is known to be exactly 1,
-    which stays exact as bundles rotate and the pool shrinks.  Every rule
-    skips the items it lists, and a zero answer places its item, changing
-    the bundle, so each (agent, bundle, item) marginal is asked at most
-    once.  The matrix keeps that promise: the memo's units and the placing
-    agent's zero increase are handed to ``update``, and any other price it
-    asks is of a bundle no rule has asked that agent about.
+    A rule reads agent i's free items on bundle B as one set, charged as
+    the paper's scan in index order asks them.  ``unit[(i, B)]`` holds the
+    items whose marginal there is known to be 1, exact as bundles rotate
+    and the pool shrinks; every scan skips them, and a free item is placed,
+    changing the bundle, so each (agent, bundle, item) marginal is charged
+    at most once.  The matrix keeps that promise: the memo's units and the
+    placing agent's zero increase are handed to ``update``, and any other
+    price it asks is of a bundle no rule has asked that agent about.
 
     A whole pool is certified unit with one price.  For a cost whose
     marginals are at most 1 (the class gate proves this of every agent), if
@@ -75,9 +76,9 @@ def run_envy_loop(
     agent's price as it was, so that is the price of the bundle the scan
     works on.  So after the first unit answer of a scan, when at least two
     unknown pool items remain, one query of their union either certifies
-    them all (they join the memo and the scan ends empty) or fails, and the
-    scan goes on item by item; the returned item is the same either way.
-    ``debug`` re-asks every certified item, uncounted.
+    them all (they join the memo and the scan ends empty) or fails; the
+    returned item is the same either way.  ``debug`` replays every read
+    item by item, uncounted, and re-asks every certified item.
     """
     ops = ops or OpCounter()
     tr = tr or Trace(False)
@@ -89,35 +90,26 @@ def run_envy_loop(
     matrix = CostMatrix(inst.agents, bundles, ops)
     unit: dict[tuple[int, ItemSet], ItemSet] = {}
 
-    def lowest_free(i: int, j: int, pool: ItemSet, zero_only: bool = True) -> int | None:
-        """Lowest pool item free for agent i on bundle j (marginal 0; with
-        ``zero_only`` off, any marginal but 1), or None."""
+    def lowest_free(i: int, j: int, pool: ItemSet) -> int | None:
+        """Lowest pool item free for agent i on bundle j (marginal 0), or None."""
         fn, bundle = inst.agents[i], bundles[j]
-        key = (i, bundle)
-        known = unit.get(key, 0)
-        found = None
-        first = True
-        for e in iter_items(pool & ~known):
-            step = ops.marginal(fn, e, bundle)
-            if step == 1:
-                known |= 1 << e
-                if first:
-                    first = False
-                    rest = pool & ~known
-                    count = size(rest)
-                    if count >= 2 and ops.evaluate(fn, bundle | rest) == matrix.price(i, j) + count:
-                        if debug and any(marginal(fn, r, bundle) != 1 for r in iter_items(rest)):
-                            raise InternalInvariantError(
-                                f"agent {i}'s unit-pool certificate on bundle {j} "
-                                "covers an item whose marginal is not 1"
-                            )
-                        known |= rest
-                        break
-            elif step == 0 or not zero_only:
-                found = e
-                break
-        unit[key] = known
-        return found
+        known = unit.get((i, bundle), 0)
+        ask = pool & ~known
+        free = free_items(fn, bundle, ask)
+        first, rest = ask & -ask, ask & (ask - 1)
+        certified = bool(first & ~free) and size(rest) >= 2 and (
+            ops.evaluate(fn, bundle | rest) == matrix.price(i, j) + size(rest)
+        )
+        free = 0 if certified else free & -free  # the scan stops at the lowest
+        asked = first if certified else ask & (free - 1 | free)
+        ops.charge(size(asked))
+        if debug and _scan(fn, bundle, ask, certified) != (free, asked):
+            raise InternalInvariantError(
+                f"agent {i}'s free items on bundle {j}: the set-level read or its "
+                "unit-pool certificate disagrees with the item-by-item scan"
+            )
+        unit[(i, bundle)] = known | (ask if certified else asked ^ free)
+        return free.bit_length() - 1 if free else None
 
     while pool:
         counters["iterations"] += 1
@@ -176,7 +168,7 @@ def run_envy_loop(
                 for j in component:
                     if i != j and not graph.has_edge(i, j):
                         continue
-                    e = lowest_free(i, j, pool, zero_only=False)
+                    e = lowest_free(i, j, pool)
                     if e is not None:
                         raise InternalInvariantError(
                             f"batch hand-out while item {e} is still free "
@@ -206,6 +198,20 @@ def run_envy_loop(
                     f"{viols[:3]}"
                 )
     return pool
+
+
+def _scan(fn, bundle: ItemSet, ask: ItemSet, certified: bool) -> tuple[int, ItemSet]:
+    """``lowest_free`` replayed item by item, uncounted: its item's bit (-1
+    if a passed certificate covers a non-unit item) and the items asked."""
+    asked = 0
+    for e in iter_items(ask):
+        asked |= 1 << e
+        if marginal(fn, e, bundle) == 0:
+            return 1 << e, asked
+        if certified:
+            fooled = any(marginal(fn, r, bundle) != 1 for r in iter_items(ask ^ asked))
+            return -1 if fooled else 0, asked
+    return 0, asked
 
 
 def solve_general(

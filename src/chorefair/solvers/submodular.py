@@ -28,8 +28,8 @@ def compute_m1(inst: Instance) -> ItemSet:
     return _compute_m1(inst, OpCounter())
 
 
-def _compute_m1(inst: Instance, ops: OpCounter) -> ItemSet:
-    return sum(1 << e for e in unit_to_all(ops, inst.agents, [0] * inst.n, full_set(inst.m)))
+def _compute_m1(inst: Instance, ops: OpCounter, debug: bool = False) -> ItemSet:
+    return sum(1 << e for e in unit_to_all(ops, inst.agents, [0] * inst.n, full_set(inst.m), debug))
 
 
 def solve_submodular(
@@ -50,7 +50,7 @@ def solve_submodular(
     ops = OpCounter()
     tr = Trace(trace)
     counters: dict[str, int] = {}
-    m1 = _compute_m1(inst, ops)
+    m1 = _compute_m1(inst, ops, debug)
     notes: tuple[str, ...]
 
     if size(m1) < n:

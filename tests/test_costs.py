@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -14,6 +15,9 @@ from chorefair.costs import (
     ResidualView,
     Table,
     Threshold,
+    _free_drops,
+    _free_items,
+    _least_drop,
     evaluate,
     marginal,
     residual,
@@ -383,3 +387,74 @@ def test_table_refuses_non_integers_at_their_first_index(bad):
 
 def test_table_accepts_int_subclasses_other_than_bool():
     assert Table(m=1, values=(0, _Int(1))).value(1) == 1
+
+
+def _partitions(items):
+    """Every partition of ``items`` into non-empty groups."""
+    if not items:
+        yield []
+        return
+    for rest in _partitions(items[1:]):
+        yield [(items[0],), *rest]
+        for k, group in enumerate(rest):
+            yield [*rest[:k], (items[0], *group), *rest[k + 1 :]]
+
+
+def _small_kinds():
+    """Every kind at m <= 6 with every parameter: thresholds and caps up to
+    m + 1, every unit vector, and every partition matroid with every cap up
+    to |group| + 1 (at m = 6 one cap vector per partition, drawn)."""
+    rng = random.Random(23)
+    for m in range(7):
+        for k in range(m + 2):
+            yield Threshold(k=k, m=m)
+            yield Cardinality(cap=k, m=m)
+        for ones in range(1 << m):
+            unit = tuple(ones >> i & 1 for i in range(m))
+            yield Additive(unit)
+            for cap in range(m + 2):
+                yield CappedAdditive(unit, cap=cap)
+        for groups in _partitions(tuple(range(m))):
+            caps = [range(len(g) + 2) for g in groups]
+            if m == 6:
+                caps = [(rng.choice(c),) for c in caps]
+            for capacities in itertools.product(*caps):
+                yield PartitionMatroidRank(tuple(groups), capacities)
+
+
+def _assert_set_reads_match_marginals(fn, values, base=0):
+    """At every S avoiding ``base``, the set-level reads of ``fn`` equal
+    what its value differences give: free items of the rest of the ground
+    set, free drops and the least drop.  ``values[S | base]`` is c(S) up to
+    a constant."""
+    outside = full_set(fn.m) & ~base
+    s = outside
+    while True:
+        here = values[s | base]
+        pool = outside & ~s
+        free = sum(1 << e for e in iter_items(pool) if values[s | base | 1 << e] == here)
+        drops = {e: here - values[(s | base) ^ 1 << e] for e in iter_items(s)}
+        assert _free_items(fn, s, pool) == free, (fn, s)
+        assert _free_drops(fn, s) == sum(1 << e for e, d in drops.items() if d == 0), (fn, s)
+        if not s:
+            return
+        assert _least_drop(fn, s) == min(drops.values()), (fn, s)
+        s = (s - 1) & outside
+
+
+def test_set_level_reads_match_scalar_marginals():
+    for fn in _small_kinds():
+        values = value_table(fn).tolist()
+        _assert_set_reads_match_marginals(fn, values)
+        if fn.m == 4:
+            for base in (0b0001, 0b0110):
+                _assert_set_reads_match_marginals(residual(fn, base), values, base)
+    rng = random.Random(5)
+    doubled = Table(m=3, values=tuple((s & 1) + 2 * (s >> 1 & 1) for s in range(8)))
+    others = [random_monotone_table(m, rng, steps=(0, 1)) for m in range(2, 7)]
+    for fn in [*others, doubled, random_monotone_table(5, rng), _PlainCount()]:
+        values = [fn.value(s) for s in range(1 << fn.m)]
+        _assert_set_reads_match_marginals(fn, values)
+        _assert_set_reads_match_marginals(residual(fn, 0b010), values, 0b010)
+    # a step of 2 is the least drop, which a free-drop test alone misses
+    assert _least_drop(doubled, 0b010) == _least_drop(residual(doubled, 0b001), 0b010) == 2

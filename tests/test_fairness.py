@@ -25,6 +25,7 @@ from chorefair.fairness import (
     EnvyGraph,
     Violation,
     _assignment_masks,
+    _CheckedQueries,
     _rank_blocks,
     allocation_from_rank,
     build_envy_graph,
@@ -162,6 +163,10 @@ class RecordingQueries:
         self.calls.append(("marginal", item, mask))
         return marginal(fn, item, mask)
 
+    def least_drop(self, fn, mask):
+        self.calls.append(("least_drop", mask))
+        return _CheckedQueries.least_drop(fn, mask)
+
 
 def _prices(matrix):
     """Every entry read through ``price``, which asks the stale ones."""
@@ -176,27 +181,27 @@ def test_cost_matrix_entries_and_queries():
     matrix = CostMatrix(funcs, [0b011, 0b100], ops)
     assert _prices(matrix) == [[2, 0], [1, 1]]
     assert calls == [("evaluate", 0b011), ("evaluate", 0b100)] * 2
-    # each item drop is the price less one marginal
+    # the worst drop is the price less the least drop, one query per bundle
     assert matrix.worst_drop(0) == 1 and matrix.worst_drop(1) == 0
-    assert calls[4:] == [("marginal", 0, 0b010), ("marginal", 1, 0b001), ("marginal", 2, 0)]
+    assert calls[4:] == [("least_drop", 0b011), ("least_drop", 0b100)]
     # a growth asks its owner's price; the other row keeps its entry as a
     # lower bound, asked on read
     matrix.update(1, 0b110)
     assert matrix.bundles == [0b011, 0b110]
-    assert calls[7:] == [("evaluate", 0b110)]
+    assert calls[6:] == [("evaluate", 0b110)]
     assert matrix.price(0, 1, 0) == 0  # the bound reaches the floor
-    assert calls[8:] == []
+    assert calls[7:] == []
     assert _prices(matrix) == [[2, 1], [1, 1]]
-    assert calls[8:] == [("evaluate", 0b110)]
+    assert calls[7:] == [("evaluate", 0b110)]
     assert matrix.graph().edges == frozenset({(1, 0)})
     # any other change re-prices the bundle whole
     matrix.update(0, 0b001)
-    assert calls[9:] == [("evaluate", 0b001)] * 2
+    assert calls[8:] == [("evaluate", 0b001)] * 2
     # a step the caller passes in is not asked
     matrix.update(0, 0b011, {0: 1})
-    assert calls[11:] == []
+    assert calls[10:] == []
     assert _prices(matrix) == [[2, 1], [1, 1]]
-    assert calls[11:] == [("evaluate", 0b011)]
+    assert calls[10:] == [("evaluate", 0b011)]
     matrix.check_against_rebuild()
     # the default queries refuse a grown set out of range as a price would
     message = "item set 0b1110 out of range for ground set of size 3"

@@ -90,6 +90,21 @@ def test_instance_validation():
         Instance(n=1, m=2, agents=(fn,), declared_class="bogus")
 
 
+class _OneForNothing:
+    """A protocol object pricing every set, the empty one included, at 1."""
+
+    m = 2
+
+    def value(self, mask):
+        return 1
+
+
+def test_instance_refuses_an_agent_pricing_the_empty_set_above_zero():
+    # the cost matrix prices empty bundles at 0 without asking
+    with pytest.raises(InvalidInputError, match=r"^agents\[1\] prices the empty set at 1, not 0$"):
+        Instance(n=2, m=2, agents=(Additive((1, 0)), _OneForNothing()), declared_class="general")
+
+
 def test_declared_class_must_cover_descriptor_kinds():
     thr = Threshold(k=1, m=3)
     with pytest.raises(InvalidInputError):

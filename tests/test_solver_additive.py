@@ -1,6 +1,6 @@
 import pytest
 
-from chorefair.costs import Additive, Cardinality, Table
+from chorefair.costs import Additive, Cardinality, Table, value_table
 from chorefair.errors import InternalInvariantError, WrongClassError
 from chorefair.fairness import is_alpha_efx, is_po_bruteforce, social_cost
 from chorefair.instances import Instance, builtin, generate
@@ -160,6 +160,23 @@ def test_debug_cross_checks_derived_drops_through_reassignments(monkeypatch):
     monkeypatch.setattr(additive, "_partition", blind)
     with pytest.raises(InternalInvariantError, match="worst drop"):
         solve_additive(inst, debug=True)
+
+
+@pytest.mark.parametrize(
+    "n, m, seed, evals",
+    [(2, 12, 2, 50), (3, 10, 0, 35), (4, 9, 99, 27), (3, 40, 1, 74), (5, 30, 3, 97)],
+)
+def test_evals_count_the_item_by_item_scans(n, m, seed, evals):
+    # the split and the pull-back read whole free sets and charge what the
+    # item-by-item scans ask (their counts, less the n prices of each bundle
+    # the split leaves empty); three of these instances reassign, and the
+    # small ones are solved as tables too
+    inst = generate("binary_additive", n, m, seed=seed)
+    assert solve_additive(inst).counters["evals"] == evals
+    if m <= 12:
+        tables = tuple(Table(m, value_table(fn).tolist()) for fn in inst.agents)
+        copy = Instance(n=n, m=m, agents=tables, declared_class="additive")
+        assert solve_additive(copy).counters["evals"] == evals
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

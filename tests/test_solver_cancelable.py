@@ -5,7 +5,7 @@ from chorefair.errors import InternalInvariantError, InvalidInputError, WrongCla
 from chorefair.fairness import CostMatrix, is_alpha_efx, is_po_bruteforce
 from chorefair.instances import Instance, builtin, generate
 from chorefair.reports import GuaranteeTag
-from chorefair.solvers import phase1, phase2, solve_cancelable
+from chorefair.solvers import common, phase1, phase2, solve_cancelable
 
 
 def test_phase1_worked_example():
@@ -137,7 +137,13 @@ def test_phase2_queries_no_drop_after_a_zero_marginal_add(monkeypatch):
     inst = generate("cardinality", 8, 120, seed=1, params={"cap": 10})
     p1 = phase1(inst)
     views = [residual(fn, base) for fn, base in zip(inst.agents, p1.base_bundles)]
-    asked: list[int] = []
+    asked: list = []
+    # the worst drop is read through the counter's set-level least_drop,
+    # and item by item only by the EFX re-check on a failure
+    least_drop = common._least_drop
+    monkeypatch.setattr(
+        common, "_least_drop", lambda fn, mask: asked.append(mask) or least_drop(fn, mask)
+    )
     item_drops = CostMatrix._item_drops
     monkeypatch.setattr(
         CostMatrix, "_item_drops", lambda self, i: asked.append(i) or item_drops(self, i)

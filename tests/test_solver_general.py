@@ -11,6 +11,7 @@ from chorefair.instances import Instance, generate
 from chorefair.itemset import full_set, iter_items, size
 from chorefair.reports import GuaranteeTag
 from chorefair.solvers import run_envy_loop, solve_auto, solve_general
+from chorefair.solvers import general
 from chorefair.solvers.common import OpCounter
 from helpers import random_binary_table
 
@@ -98,20 +99,6 @@ def test_determinism():
     assert solve_general(inst).allocation == solve_general(inst).allocation
 
 
-class RecordingOps(OpCounter):
-    """An ``OpCounter`` that also keeps every marginal question it was asked."""
-
-    __slots__ = ("asked",)
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.asked: list[tuple[int, int, int]] = []
-
-    def marginal(self, fn, item, mask):
-        self.asked.append((id(fn), mask, item))
-        return super().marginal(fn, item, mask)
-
-
 def spread_thresholds(n, m, seed):
     rng = random.Random(seed)
     agents = tuple(Threshold(k=rng.randint(5, 40), m=m) for _ in range(n))
@@ -119,22 +106,34 @@ def spread_thresholds(n, m, seed):
 
 
 @pytest.mark.parametrize(
-    "make",
+    "make, head_evals",
     [
-        lambda: spread_thresholds(8, 240, seed=2),
-        lambda: generate("partition_matroid", 5, 100, seed=3, params={"groups": 20}),
-        lambda: generate("table", 3, 10, seed=113),  # rotates twice
+        (lambda: spread_thresholds(8, 240, seed=2), 1_704),
+        (lambda: generate("partition_matroid", 5, 100, seed=3, params={"groups": 20}), 3_534),
+        (lambda: generate("table", 3, 10, seed=113), 98),  # rotates twice
     ],
     ids=["threshold", "partition_matroid", "table"],
 )
-def test_envy_loop_asks_each_marginal_once(make):
+def test_envy_loop_asks_each_marginal_once(make, head_evals, monkeypatch):
     inst = make()
     assert len({id(fn) for fn in inst.agents}) == inst.n  # id(fn) names the agent
-    ops = RecordingOps()
+    asked: list[tuple[int, int, int]] = []
+
+    def recording(fn, item, mask):
+        asked.append((id(fn), mask, item))
+        return marginal(fn, item, mask)
+
+    # with debug, every set-level read is replayed item by item through
+    # this name: the replay asks exactly what the scalar scan asks
+    monkeypatch.setattr(general, "marginal", recording)
+    ops = OpCounter()
     counters: dict[str, int] = {}
-    run_envy_loop(inst, [0] * inst.n, full_set(inst.m), ops=ops, counters=counters)
+    run_envy_loop(inst, [0] * inst.n, full_set(inst.m), ops=ops, counters=counters, debug=True)
     assert counters["zero_placements"] and counters["batches"]
-    assert len(ops.asked) == len(set(ops.asked))
+    assert asked and len(asked) == len(set(asked))
+    # the item-by-item count the scalar loop reported, less the n^2 prices
+    # of the empty bundles it starts from, which are 0 unasked
+    assert ops.evals == head_evals - inst.n**2
 
 
 def test_debug_solve_of_a_large_general_instance():
